@@ -51,8 +51,6 @@ func main() {
 		chromeTrace   = flag.String("chrome-trace", "", "write a Chrome trace-event JSON timeline of the run to this file (load in Perfetto or chrome://tracing)")
 		traceFlits    = flag.Bool("trace-flits", false, "include per-flit instants in -chrome-trace output (large)")
 		shards        = flag.Int("shards", 0, "step the mesh with this many parallel shards (bit-identical results; 0 = sequential)")
-		sampledDetail = flag.Int64("sampled-detail", 0, "sampled mode: detailed-window length in cycles (requires -sampled-skip; results become approximate)")
-		sampledSkip   = flag.Int64("sampled-skip", 0, "sampled mode: statistical fast-forward span in cycles (requires -sampled-detail)")
 		cpuprofile    = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memprofile    = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
 	)
@@ -97,15 +95,6 @@ func main() {
 	}
 	if *openLoop {
 		sim.DependencyWindow = -1
-	}
-	switch {
-	case *sampledDetail > 0 && *sampledSkip > 0:
-		sim.SampledWindows = &intellinoc.SampledWindows{
-			DetailCycles: *sampledDetail, SkipCycles: *sampledSkip,
-		}
-		fmt.Println("note: sampled-window mode is enabled — results are statistical approximations")
-	case *sampledDetail != 0 || *sampledSkip != 0:
-		fatal(errors.New("-sampled-detail and -sampled-skip must both be positive"))
 	}
 
 	gen, desc, err := buildWorkload(*benchmark, *pattern, *traceFile, *rate, *packets, sim)

@@ -70,17 +70,7 @@ func (m modeFilter) NextMode(obs noc.Observation) noc.Mode {
 // RunAblation simulates one IntelliNoC ablation variant.
 func RunAblation(ab Ablation, sim SimConfig, gen traffic.Generator, policy *Policy) (noc.Result, error) {
 	sim = sim.withDefaults()
-	cfg := TechIntelliNoC.NetworkConfig(sim.Width, sim.Height)
-	cfg.TimeStepCycles = sim.TimeStepCycles
-	cfg.BaseErrorRate = sim.BaseErrorRate
-	cfg.ForcedErrorRate = sim.ForcedErrorRate
-	cfg.Seed = sim.Seed
-	cfg.VerifyPayloads = sim.VerifyPayloads
-	cfg.DependencyWindow = sim.DependencyWindow
-	cfg.ControlFaultRate = sim.ControlFaultRate
-	cfg.Shards = sim.Shards
-	cfg.SampledWindows = sim.SampledWindows
-	sim.applyMicroarch(&cfg)
+	cfg := sim.networkConfig(TechIntelliNoC)
 
 	var inner noc.Controller
 	if ab == AblationNoRL {

@@ -72,15 +72,6 @@ type SimConfig struct {
 	// excluded from JSON: experiment-spec digests, golden results, and
 	// harness dedup must not distinguish runs by execution strategy.
 	Shards int `json:"-"`
-
-	// SampledWindows enables noc's opt-in sampled-simulation mode
-	// (detailed windows alternating with statistical fast-forwards; see
-	// noc.SampledWindows for the model and its caveats). Unlike Shards,
-	// this field changes results, so it MUST stay JSON-visible: an
-	// experiment-spec digest has to distinguish a sampled run from an
-	// exact one. Golden-digest suites refuse configurations that set it
-	// (see experiments.NewSuite).
-	SampledWindows *noc.SampledWindows `json:"sampled_windows,omitempty"`
 }
 
 // withDefaults fills in unset fields.
@@ -118,10 +109,13 @@ func (c SimConfig) withDefaults() SimConfig {
 	return c
 }
 
-// applyMicroarch applies the router-microarchitecture overrides to a
-// technique-derived network config (shared by Simulate and Pretrain so a
-// pre-trained policy sees the same hardware its evaluation runs use).
-func (c SimConfig) applyMicroarch(cfg *noc.Config) {
+// networkConfig translates a defaulted SimConfig into tech's network
+// config: the technique's Table-1 preset with the run-level knobs and
+// the router-microarchitecture overrides applied. Simulate, Pretrain
+// and RunAblation all build through it, so a pre-trained policy sees the
+// same hardware its evaluation runs use.
+func (c SimConfig) networkConfig(tech Technique) noc.Config {
+	cfg := tech.NetworkConfig(c.Width, c.Height)
 	cfg.Topology = c.Topology
 	if c.VCOverride > 0 {
 		cfg.VCs = c.VCOverride
@@ -129,6 +123,15 @@ func (c SimConfig) applyMicroarch(cfg *noc.Config) {
 	if c.BufDepthOverride > 0 {
 		cfg.BufDepth = c.BufDepthOverride
 	}
+	cfg.TimeStepCycles = c.TimeStepCycles
+	cfg.BaseErrorRate = c.BaseErrorRate
+	cfg.ForcedErrorRate = c.ForcedErrorRate
+	cfg.Seed = c.Seed
+	cfg.VerifyPayloads = c.VerifyPayloads
+	cfg.DependencyWindow = c.DependencyWindow
+	cfg.ControlFaultRate = c.ControlFaultRate
+	cfg.Shards = c.Shards
+	return cfg
 }
 
 // rlConfig derives the Q-learning configuration.
@@ -203,16 +206,8 @@ func PretrainTechnique(tech Technique, sim SimConfig, epochs, packetsPerEpoch in
 		return nil, fmt.Errorf("core: technique %s has no trainable policy", tech)
 	}
 	sim = sim.withDefaults()
-	cfg := tech.NetworkConfig(sim.Width, sim.Height)
-	cfg.TimeStepCycles = sim.TimeStepCycles
-	cfg.BaseErrorRate = sim.BaseErrorRate
-	cfg.ForcedErrorRate = sim.ForcedErrorRate
-	cfg.Seed = sim.Seed
-	cfg.DependencyWindow = sim.DependencyWindow
-	cfg.ControlFaultRate = sim.ControlFaultRate
-	cfg.Shards = sim.Shards
-	cfg.SampledWindows = sim.SampledWindows
-	sim.applyMicroarch(&cfg)
+	cfg := sim.networkConfig(tech)
+	cfg.VerifyPayloads = false // training needs no payload bytes
 
 	var ctrl *RLController
 	if warm != nil {

@@ -94,17 +94,7 @@ func Simulate(ctx context.Context, tech Technique, sim SimConfig, gen traffic.Ge
 	if o.hasShards {
 		sim.Shards = o.shards
 	}
-	cfg := tech.NetworkConfig(sim.Width, sim.Height)
-	cfg.TimeStepCycles = sim.TimeStepCycles
-	cfg.BaseErrorRate = sim.BaseErrorRate
-	cfg.ForcedErrorRate = sim.ForcedErrorRate
-	cfg.Seed = sim.Seed
-	cfg.VerifyPayloads = sim.VerifyPayloads
-	cfg.DependencyWindow = sim.DependencyWindow
-	cfg.ControlFaultRate = sim.ControlFaultRate
-	cfg.Shards = sim.Shards
-	cfg.SampledWindows = sim.SampledWindows
-	sim.applyMicroarch(&cfg)
+	cfg := sim.networkConfig(tech)
 
 	ctrl, initial := controllerFor(tech, sim, cfg, o.policy)
 	n, err := noc.New(cfg, gen, ctrl)

@@ -79,12 +79,6 @@ func ExperimentIDs() []string {
 
 // NewSuite validates the options and builds the experiment plan.
 func NewSuite(opts SuiteOptions) (*Suite, error) {
-	if opts.Sim.SampledWindows != nil {
-		// The suite's results feed golden digests and cross-run
-		// comparisons that assume exact cycle-level simulation; the
-		// sampled mode's approximations would silently poison them.
-		return nil, fmt.Errorf("experiments: sampled-window simulation is not allowed in the experiment suite (its results are approximate; unset SimConfig.SampledWindows)")
-	}
 	if opts.Packets == 0 {
 		opts.Packets = 60000
 	}

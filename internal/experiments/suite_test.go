@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"intellinoc/internal/core"
-	"intellinoc/internal/noc"
 )
 
 func tinySuite(t *testing.T, only ...string) *Suite {
@@ -34,18 +33,6 @@ func renderAll(figs []Figure) string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// TestNewSuiteRejectsSampledWindows: golden digests and cross-run
-// comparisons assume exact cycle-level simulation, so the approximate
-// sampled-window mode must be refused at suite construction.
-func TestNewSuiteRejectsSampledWindows(t *testing.T) {
-	_, err := NewSuite(SuiteOptions{
-		Sim: core.SimConfig{SampledWindows: &noc.SampledWindows{DetailCycles: 1000, SkipCycles: 10000}},
-	})
-	if err == nil || !strings.Contains(err.Error(), "sampled") {
-		t.Fatalf("want a sampled-windows refusal, got %v", err)
-	}
 }
 
 func TestNewSuiteRejectsUnknownIDs(t *testing.T) {

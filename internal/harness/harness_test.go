@@ -135,6 +135,48 @@ func TestErrorStopsDispatchButKeepsFinishedRecords(t *testing.T) {
 	}
 }
 
+// TestRunFailFast pins Run's batch contract on one worker: the first job
+// to exhaust its retries stops dispatch before any later job starts, and
+// Run returns that job's own error rather than a cancellation error.
+func TestRunFailFast(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "res.jsonl")
+	w, err := OpenWriter(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errBoom := errors.New("deliberate boom")
+	var ran, observed atomic.Int32
+	ok := func(name string) Job {
+		return Job{Digest: name, Name: name, Run: func() (any, error) {
+			ran.Add(1)
+			return payload{}, nil
+		}}
+	}
+	jobs := []Job{
+		{Digest: "boom", Name: "boom", Run: func() (any, error) { return nil, errBoom }},
+		ok("ok1"), ok("ok2"),
+	}
+	_, err = Run(jobs, Options{Workers: 1, Retries: -1, Stream: w,
+		Observer: func(Record) { observed.Add(1) }})
+	if !errors.Is(err, errBoom) || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("want boom's own error, got %v", err)
+	}
+	if errors.Is(err, context.Canceled) {
+		t.Fatalf("fail-fast must not surface as a cancellation: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := LoadRecords(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ran.Load() != 0 || observed.Load() != 0 || len(recs) != 0 {
+		t.Fatalf("jobs after the failure ran: %d runs, %d observed, %d streamed",
+			ran.Load(), observed.Load(), len(recs))
+	}
+}
+
 func TestStreamAndResumeRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "res.jsonl")

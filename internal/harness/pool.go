@@ -8,23 +8,28 @@ import (
 	"time"
 )
 
-// Pool is the incremental sibling of Run: a persistent worker pool that
+// Pool is the harness's job scheduler: a persistent worker pool that
 // accepts jobs one at a time, dedups them by digest while in flight,
 // serves Options.Lookup cache hits without executing, and dispatches
-// pending work highest-Priority-first. It exists for search drivers
-// (cmd/explore) that decide what to evaluate next based on earlier
-// results: a promotion submitted mid-run jumps ahead of queued
-// lower-priority points instead of waiting behind them.
+// pending work highest-Priority-first. Search drivers (cmd/explore) and
+// the daemon submit incrementally, deciding what to evaluate next based
+// on earlier results: a promotion submitted mid-run jumps ahead of
+// queued lower-priority points instead of waiting behind them. Run is a
+// batch wrapper over it.
 //
-// Unlike Run, a job failure is confined to its Future — the pool keeps
-// executing other work, because a search treats a failed point as
-// infeasible rather than fatal. Context cancellation (Options.Ctx) still
-// stops everything: queued jobs fail with the context error and workers
-// exit after their in-flight job drains.
+// A job failure is confined to its Future — the pool keeps executing
+// other work, because a search treats a failed point as infeasible
+// rather than fatal (Run's pools instead stop at the first failure).
+// Context cancellation (Options.Ctx) stops everything: queued jobs fail
+// with the context error and workers exit after their in-flight job
+// drains.
 type Pool struct {
 	opts    Options
 	workers int
 	retries int
+	// failFast makes the first failed job cancel the pool with that
+	// job's own error (Run's batch semantics).
+	failFast bool
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -91,7 +96,9 @@ func (q *poolQueue) popItem() *poolItem { return heap.Pop(q).(*poolItem) }
 
 // NewPool starts the workers and begins progress accounting. Close must
 // be called to stop them; futures from Submit resolve independently.
-func NewPool(opts Options) *Pool {
+func NewPool(opts Options) *Pool { return newPool(opts, false) }
+
+func newPool(opts Options, failFast bool) *Pool {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -103,7 +110,7 @@ func NewPool(opts Options) *Pool {
 		retries = 0
 	}
 	p := &Pool{
-		opts: opts, workers: workers, retries: retries,
+		opts: opts, workers: workers, retries: retries, failFast: failFast,
 		seen: make(map[string]*Future),
 		stop: make(chan struct{}),
 	}
@@ -224,9 +231,8 @@ func (p *Pool) Close() {
 	}
 }
 
-// worker pops the highest-priority pending job, executes it with the
-// same retry/panic isolation as Run, streams the record, and resolves
-// the future.
+// worker pops the highest-priority pending job, executes it with retry
+// and panic isolation, streams the record, and resolves the future.
 func (p *Pool) worker() {
 	defer p.wg.Done()
 	for {
@@ -261,6 +267,9 @@ func (p *Pool) worker() {
 		}
 		it.fut.rec, it.fut.err = rec, err
 		close(it.fut.done)
+		if err != nil && p.failFast {
+			p.cancel(err)
+		}
 		if p.opts.Progress != nil {
 			p.opts.Progress.jobDone(time.Duration(rec.WallMS * float64(time.Millisecond)))
 		}

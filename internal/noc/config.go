@@ -95,24 +95,16 @@ type Config struct {
 	// ECC codecs on every hop. Slower; used by tests and examples.
 	VerifyPayloads bool
 
-	// Shards > 1 steps the mesh with a bounded worker pool: each shard (a
-	// row block of routers with their channels and NICs) scans its routers
-	// in parallel, and the cross-router commits run in router-index order
-	// at a per-cycle barrier (see shard.go). Results, fingerprints, and
-	// event streams are bit-identical to the sequential path at any shard
-	// count — the knob trades goroutines for wall-clock only. 0 or 1
-	// selects the plain sequential stepper. A sharded Network owns worker
-	// goroutines; call Close when done with it.
+	// Shards > 1 steps the network with a bounded worker pool: each shard
+	// (a contiguous router-id range that ignores topology geometry, with
+	// its routers' channels and NICs) scans its routers in parallel, and
+	// the cross-router commits run in router-index order at a per-cycle
+	// barrier (see shard.go). Results, fingerprints, and event streams are
+	// bit-identical to the sequential path at any shard count — the knob
+	// trades goroutines for wall-clock only. 0 or 1 selects the plain
+	// sequential stepper. A sharded Network owns worker goroutines; call
+	// Close when done with it.
 	Shards int
-
-	// SampledWindows, when non-nil, trades bit-exactness for speed:
-	// detailed windows alternate with statistical fast-forwards that
-	// deliver due packets in closed form (see the type's doc comment for
-	// the model and its caveats). Runs remain deterministic under a
-	// fixed seed, but results are approximations — the knob must stay
-	// visible in serialized configs and experiment-spec digests, and
-	// golden-digest suites refuse to run with it set.
-	SampledWindows *SampledWindows
 
 	// DisableIdleFastForward forces the simulator to step quiescent
 	// stretches cycle by cycle instead of jumping to the next event. The
@@ -166,9 +158,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("noc: negative retry bound")
 	case c.Shards < 0:
 		return fmt.Errorf("noc: negative shard count")
-	case c.SampledWindows != nil && (c.SampledWindows.DetailCycles <= 0 || c.SampledWindows.SkipCycles <= 0):
-		return fmt.Errorf("noc: sampled windows need positive detail/skip cycle counts, got %d/%d",
-			c.SampledWindows.DetailCycles, c.SampledWindows.SkipCycles)
 	}
 	topo, err := NewTopology(c)
 	if err != nil {

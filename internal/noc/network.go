@@ -188,13 +188,6 @@ type Network struct {
 	rcDraws    []float64
 	rcPredrawn bool
 
-	// Sampled-simulation state (Config.SampledWindows; see sampled.go).
-	sampleSkipAt     int64   // cycle at which the next skip becomes due
-	sampleDrainUntil int64   // bounded-drain deadline (0 = not draining)
-	sampleLat        float64 // latency estimate from detailed windows
-	sampleLastSum    float64 // latency-histogram position at last refresh
-	sampleLastCount  uint64
-
 	powersBuf []float64 // thermalStep scratch
 
 	eventHook func(Event)
@@ -288,9 +281,6 @@ func New(cfg Config, gen traffic.Generator, ctrl Controller) (*Network, error) {
 		if sc := min(cfg.Shards, nodes); sc > 1 {
 			n.shardCount = sc
 		}
-	}
-	if cfg.SampledWindows != nil {
-		n.sampleSkipAt = cfg.SampledWindows.DetailCycles
 	}
 	n.buildTopology()
 	n.refreshLinkRates()
@@ -422,9 +412,6 @@ func (n *Network) Step() { n.step(1 << 62) }
 // step is Step bounded so the fast-forward never jumps past maxCycles
 // (RunUntilDrained's truncation point).
 func (n *Network) step(maxCycles int64) {
-	if n.cfg.SampledWindows != nil && n.sampledStep(maxCycles) {
-		return
-	}
 	if n.shardCount > 0 {
 		n.stepSharded(maxCycles)
 		return

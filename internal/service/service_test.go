@@ -18,7 +18,6 @@ import (
 	"intellinoc/internal/core"
 	"intellinoc/internal/experiments"
 	"intellinoc/internal/harness"
-	"intellinoc/internal/noc"
 	"intellinoc/internal/traffic"
 )
 
@@ -382,11 +381,6 @@ func TestValidationRejects(t *testing.T) {
 			sp.Sim.Width = 65
 			return sp
 		}(), "mesh"},
-		{"sampled windows poison the cache", func() experiments.RunSpec {
-			sp := testSpec(1, 150)
-			sp.Sim.SampledWindows = &nocSampled
-			return sp
-		}(), "sampled"},
 		{"unknown workload", func() experiments.RunSpec {
 			sp := testSpec(1, 150)
 			sp.Workload.Kind = "mystery"
@@ -414,14 +408,27 @@ func TestValidationRejects(t *testing.T) {
 	if rr.Code != http.StatusBadRequest {
 		t.Fatalf("unknown field: status %d", rr.Code)
 	}
+	// A sim knob the simulator does not have (here sampled_windows) is
+	// refused by the strict decoder rather than silently dropped, so a
+	// client never gets an exact result it believes is something else.
+	var withKnob map[string]any
+	raw, err := json.Marshal(submitRequest{Jobs: []submitJob{{Spec: testSpec(1, 150)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &withKnob); err != nil {
+		t.Fatal(err)
+	}
+	sim := withKnob["jobs"].([]any)[0].(map[string]any)["spec"].(map[string]any)["sim"].(map[string]any)
+	sim["sampled_windows"] = map[string]any{"detail_cycles": 1000, "skip_cycles": 1000}
+	if rr := do(t, h, "POST", "/v1/jobs", "eve", withKnob); rr.Code != http.StatusBadRequest ||
+		!strings.Contains(rr.Body.String(), "sampled_windows") {
+		t.Fatalf("sim.sampled_windows: status %d body %s", rr.Code, rr.Body.String())
+	}
 	if got := metric(t, h, "intellinocd_jobs_executed_total"); got != 0 {
 		t.Fatalf("rejected specs must never execute, got %v", got)
 	}
 }
-
-// nocSampled is an arbitrary sampled-window config for the validation
-// table — any non-nil value must be rejected.
-var nocSampled = noc.SampledWindows{DetailCycles: 1000, SkipCycles: 1000}
 
 // TestStreamResume replays suffixes by record index — the over-the-wire
 // twin of harness resume.

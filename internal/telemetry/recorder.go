@@ -11,7 +11,12 @@
 // value into a pre-allocated ring.
 package telemetry
 
-import "fmt"
+import (
+	"fmt"
+
+	"intellinoc/internal/noc"
+	"intellinoc/internal/rl"
+)
 
 // EntryKind discriminates the flight recorder's entry union.
 type EntryKind int
@@ -30,9 +35,9 @@ const (
 // on the simulation thread.
 type Entry struct {
 	Kind     EntryKind
-	Event    Event
-	Epoch    EpochSample
-	Decision DecisionSample
+	Event    noc.Event
+	Epoch    noc.EpochSample
+	Decision rl.DecisionSample
 }
 
 // Cycle returns the simulation cycle the entry was recorded at.
@@ -102,19 +107,21 @@ func (r *Recorder) push(e Entry) {
 
 // RecordEvent records a simulator event; install it with
 // noc.Network.SetEventHook (or call it from your own hook to tee).
-func (r *Recorder) RecordEvent(e Event) { r.push(Entry{Kind: EntryEvent, Event: e}) }
+func (r *Recorder) RecordEvent(e noc.Event) { r.push(Entry{Kind: EntryEvent, Event: e}) }
 
 // RecordEpoch records a per-router control-window sample; install it with
 // noc.Network.SetEpochHook.
-func (r *Recorder) RecordEpoch(s EpochSample) { r.push(Entry{Kind: EntryEpoch, Epoch: s}) }
+func (r *Recorder) RecordEpoch(s noc.EpochSample) { r.push(Entry{Kind: EntryEpoch, Epoch: s}) }
 
 // RecordDecision records an RL controller decision; install it as the
 // controller's DecisionHook.
-func (r *Recorder) RecordDecision(d DecisionSample) { r.push(Entry{Kind: EntryDecision, Decision: d}) }
+func (r *Recorder) RecordDecision(d rl.DecisionSample) {
+	r.push(Entry{Kind: EntryDecision, Decision: d})
+}
 
 // Attach installs the recorder on a network's event and epoch hooks,
 // replacing any hooks already present.
-func (r *Recorder) Attach(n *Network) {
+func (r *Recorder) Attach(n *noc.Network) {
 	n.SetEventHook(r.RecordEvent)
 	n.SetEpochHook(r.RecordEpoch)
 }
