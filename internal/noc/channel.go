@@ -1,5 +1,7 @@
 package noc
 
+import "math"
+
 // Channel models one inter-router link and its MFAC buffer stages
 // (Fig. 2/3). A channel is a latency-tagged FIFO:
 //
@@ -25,12 +27,26 @@ type Channel struct {
 	buf  []channelFlit
 	head int
 	n    int
+	// minReady points at this channel's Network.inMinReady slot: the
+	// earliest readyAt among the queued flits, noReady when empty. push
+	// and remove keep it exact, so the per-cycle delivery, wake and
+	// fast-forward scans read one slab word per port instead of walking
+	// the ring.
+	minReady *int64
 }
 
+// channelFlit is one queued flit with the VC it travels on (recorded at
+// push; f.VC is not written while the flit is queued), so the delivery
+// scan reads VC and timing from the ring without loading the flit.
 type channelFlit struct {
 	flit    *Flit
 	readyAt int64
+	vc      int
 }
+
+// noReady is the inMinReady sentinel of an empty (or absent) channel: no
+// cycle is ever >= it, so "slot > cy" skips the port.
+const noReady = math.MaxInt64
 
 // vcTrackLimit sizes peekReady's per-VC "seen" scratch array. Every VC id
 // a validated Config can produce must fit, or the dynamic-allocation scan
@@ -40,8 +56,11 @@ const vcTrackLimit = 64
 
 const _ = uint(vcTrackLimit - maxVCs) // compile-time: maxVCs <= vcTrackLimit
 
-func newChannel() *Channel {
-	return &Channel{}
+// newChannel returns an empty channel that keeps its earliest readyAt in
+// *minReady.
+func newChannel(minReady *int64) *Channel {
+	*minReady = noReady
+	return &Channel{minReady: minReady}
 }
 
 // at returns the i-th queued flit counting from the head (0 <= i < c.n).
@@ -53,7 +72,8 @@ func (c *Channel) at(i int) *channelFlit {
 	return &c.buf[j]
 }
 
-// push enqueues a flit that becomes deliverable at readyAt.
+// push enqueues a flit on its current VC that becomes deliverable at
+// readyAt.
 func (c *Channel) push(f *Flit, readyAt int64) {
 	if c.n == len(c.buf) {
 		grown := make([]channelFlit, max(8, 2*len(c.buf)))
@@ -62,25 +82,46 @@ func (c *Channel) push(f *Flit, readyAt int64) {
 		}
 		c.buf, c.head = grown, 0
 	}
-	*c.at(c.n) = channelFlit{flit: f, readyAt: readyAt}
+	*c.at(c.n) = channelFlit{flit: f, readyAt: readyAt, vc: f.VC}
 	c.n++
+	if readyAt < *c.minReady {
+		*c.minReady = readyAt
+	}
 }
 
 // len returns the number of flits stored or in flight.
 func (c *Channel) len() int { return c.n }
 
-// peekReady returns the index of the first deliverable flit, honouring
-// per-VC ordering. With dynamicAlloc (the unified-BST allocation of
-// Section 3.1.2) it may look past a blocked head as long as no earlier
-// flit shares the candidate's VC; otherwise only the head qualifies.
-// accept reports whether the downstream buffer can take the flit.
-func (c *Channel) peekReady(cycle int64, dynamicAlloc bool, accept func(*Flit) bool) int {
+// chanSink is where a channel's flits are delivered: the VC buffers of
+// an input port, or — when n is set — router r's bypass switch for input
+// port p. The buffer test reads only the recorded VC, never the flit.
+type chanSink struct {
+	vcs   []inputVC
+	depth int
+	n     *Network
+	r     *Router
+	p     int
+}
+
+func (s *chanSink) accepts(cf *channelFlit) bool {
+	if s.n != nil {
+		return s.n.bypassCanForward(s.r, s.p, cf.flit)
+	}
+	return len(s.vcs[cf.vc].buf) < s.depth
+}
+
+// peekReady returns the index of the first flit deliverable into dst,
+// honouring per-VC ordering. With dynamicAlloc (the unified-BST
+// allocation of Section 3.1.2) it may look past a blocked head as long as
+// no earlier flit shares the candidate's VC; otherwise only the head
+// qualifies.
+func (c *Channel) peekReady(cycle int64, dynamicAlloc bool, dst *chanSink) int {
 	if c.n == 0 {
 		return -1
 	}
 	if !dynamicAlloc {
 		head := c.at(0)
-		if head.readyAt <= cycle && accept(head.flit) {
+		if head.readyAt <= cycle && dst.accepts(head) {
 			return 0
 		}
 		return -1
@@ -89,7 +130,7 @@ func (c *Channel) peekReady(cycle int64, dynamicAlloc bool, accept func(*Flit) b
 	seenUntracked := false
 	for i := 0; i < c.n; i++ {
 		cf := c.at(i)
-		vc := cf.flit.VC
+		vc := cf.vc
 		if vc < 0 || vc >= len(seen) {
 			// A VC id outside the tracked range (impossible for a
 			// validated Config, which caps VCs at maxVCs) cannot be
@@ -99,7 +140,7 @@ func (c *Channel) peekReady(cycle int64, dynamicAlloc bool, accept func(*Flit) b
 			if seenUntracked {
 				continue
 			}
-			if cf.readyAt <= cycle && accept(cf.flit) {
+			if cf.readyAt <= cycle && dst.accepts(cf) {
 				return i
 			}
 			seenUntracked = true
@@ -111,7 +152,7 @@ func (c *Channel) peekReady(cycle int64, dynamicAlloc bool, accept func(*Flit) b
 		// Whether blocked by timing or by a full buffer, this flit
 		// now shields every later flit on the same VC so per-VC
 		// order is preserved.
-		if cf.readyAt <= cycle && accept(cf.flit) {
+		if cf.readyAt <= cycle && dst.accepts(cf) {
 			return i
 		}
 		seen[vc] = true
@@ -122,9 +163,11 @@ func (c *Channel) peekReady(cycle int64, dynamicAlloc bool, accept func(*Flit) b
 // remove extracts the flit at index i (counted from the head), preserving
 // order. Removing the head is O(1); a mid-queue removal shifts whichever
 // side of the hole is shorter — the prefix in front of it (advancing the
-// head) or the suffix behind it.
+// head) or the suffix behind it. The earliest-ready slot is rescanned only
+// when the removed flit held the minimum.
 func (c *Channel) remove(i int) *Flit {
-	f := c.at(i).flit
+	cf := c.at(i)
+	f, readyAt := cf.flit, cf.readyAt
 	if i <= c.n-1-i {
 		for j := i; j > 0; j-- {
 			*c.at(j) = *c.at(j - 1)
@@ -141,29 +184,17 @@ func (c *Channel) remove(i int) *Flit {
 		c.at(c.n - 1).flit = nil
 	}
 	c.n--
+	if readyAt == *c.minReady {
+		*c.minReady = c.scanMinReady()
+	}
 	return f
 }
 
-// anyReady reports whether any flit is deliverable at the given cycle
-// (used to trigger wake-up of gated routers).
-func (c *Channel) anyReady(cycle int64) bool {
+// scanMinReady recomputes the earliest readyAt from the ring (noReady
+// when empty).
+func (c *Channel) scanMinReady() int64 {
+	e := int64(noReady)
 	for i := 0; i < c.n; i++ {
-		if c.at(i).readyAt <= cycle {
-			return true
-		}
-	}
-	return false
-}
-
-// earliestReady returns the soonest readyAt among the queued flits, or -1
-// when the channel is empty (used by the idle fast-forward to find the
-// next delivery event).
-func (c *Channel) earliestReady() int64 {
-	if c.n == 0 {
-		return -1
-	}
-	e := c.at(0).readyAt
-	for i := 1; i < c.n; i++ {
 		if r := c.at(i).readyAt; r < e {
 			e = r
 		}

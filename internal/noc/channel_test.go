@@ -1,23 +1,40 @@
 package noc
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func mkFlit(id uint64, vc int, t FlitType) *Flit {
 	return &Flit{ID: id, VC: vc, Type: t}
 }
 
+// testChannel returns a standalone channel with its own earliest-ready
+// slot.
+func testChannel() *Channel { return newChannel(new(int64)) }
+
+// bufSink is a buffer-path delivery target with vcs one-slot VCs; the
+// VCs listed in full start occupied, so their flits are refused.
+func bufSink(vcs int, full ...int) *chanSink {
+	s := &chanSink{vcs: make([]inputVC, vcs), depth: 1}
+	for _, v := range full {
+		s.vcs[v].buf = []*Flit{{}}
+	}
+	return s
+}
+
 func TestChannelFIFOOrder(t *testing.T) {
-	ch := newChannel()
+	ch := testChannel()
 	ch.push(mkFlit(1, 0, FlitHead), 10)
 	ch.push(mkFlit(2, 0, FlitTail), 11)
 	if ch.len() != 2 {
 		t.Fatalf("len = %d", ch.len())
 	}
 	// Nothing deliverable before readyAt.
-	if idx := ch.peekReady(9, false, func(*Flit) bool { return true }); idx != -1 {
+	if idx := ch.peekReady(9, false, bufSink(1)); idx != -1 {
 		t.Fatal("flit delivered before its readyAt")
 	}
-	if idx := ch.peekReady(10, false, func(*Flit) bool { return true }); idx != 0 {
+	if idx := ch.peekReady(10, false, bufSink(1)); idx != 0 {
 		t.Fatalf("head not deliverable at its readyAt, idx=%d", idx)
 	}
 	f := ch.remove(0)
@@ -27,10 +44,10 @@ func TestChannelFIFOOrder(t *testing.T) {
 }
 
 func TestChannelHeadOnlyBlocksAll(t *testing.T) {
-	ch := newChannel()
+	ch := testChannel()
 	ch.push(mkFlit(1, 0, FlitHead), 0)
 	ch.push(mkFlit(2, 1, FlitHead), 0)
-	reject0 := func(f *Flit) bool { return f.VC != 0 }
+	reject0 := bufSink(2, 0) // VC 0's buffer is full
 	// Without dynamic allocation, the blocked VC-0 head shields the
 	// deliverable VC-1 flit (head-of-line blocking).
 	if idx := ch.peekReady(5, false, reject0); idx != -1 {
@@ -43,33 +60,48 @@ func TestChannelHeadOnlyBlocksAll(t *testing.T) {
 }
 
 func TestChannelDynamicScanPreservesPerVCOrder(t *testing.T) {
-	ch := newChannel()
+	ch := testChannel()
 	ch.push(mkFlit(1, 0, FlitHead), 100) // not ready yet
 	ch.push(mkFlit(2, 0, FlitBody), 0)   // ready, but behind same-VC flit
 	ch.push(mkFlit(3, 1, FlitHead), 0)   // ready, different VC
-	accept := func(*Flit) bool { return true }
-	idx := ch.peekReady(5, true, accept)
+	idx := ch.peekReady(5, true, bufSink(2))
 	if idx != 2 {
 		t.Fatalf("must skip VC0 entirely (order) and pick the VC1 flit: idx=%d", idx)
 	}
-	// Same if the first VC-0 flit is ready but rejected by the buffer.
-	ch2 := newChannel()
-	ch2.push(mkFlit(1, 0, FlitHead), 0)
-	ch2.push(mkFlit(2, 0, FlitBody), 0)
-	rejected := 0
-	idx = ch2.peekReady(5, true, func(f *Flit) bool { rejected++; return false })
-	if idx != -1 {
-		t.Fatal("nothing acceptable should be selected")
+	// Same if the first VC-0 flit is ready but refused by its
+	// destination while a later VC-0 flit would be accepted. The bypass
+	// switch makes that observable: it refuses a head whose output has
+	// no free VC but forwards a body flit whose VC row is routed.
+	n, err := New(testConfig(), uniformGen(t, testConfig(), 0.1, 1), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rejected != 1 {
-		t.Fatalf("accept must be consulted only for the first flit per VC, got %d calls", rejected)
+	r, p := n.routers[5], PortWest
+	head := &Flit{ID: 1, VC: 0, Type: FlitHead, Src: 4, Dst: 7}
+	route, _ := n.route(r, head)
+	for v := range r.out[route].vcBusy {
+		r.out[route].vcBusy[v] = true
+	}
+	row := &r.in[p].vcs[0]
+	row.route, row.outVC = route, 0
+	bypass := &chanSink{n: n, r: r, p: p}
+	ch2 := testChannel()
+	ch2.push(mkFlit(2, 0, FlitBody), 0)
+	if idx := ch2.peekReady(5, true, bypass); idx != 0 {
+		t.Fatalf("a lone routed body flit must forward: idx=%d", idx)
+	}
+	ch2 = testChannel()
+	ch2.push(head, 0)
+	ch2.push(mkFlit(2, 0, FlitBody), 0)
+	if idx := ch2.peekReady(5, true, bypass); idx != -1 {
+		t.Fatalf("a refused flit must shield every later flit of its VC: idx=%d", idx)
 	}
 }
 
 func TestChannelRingWrapAround(t *testing.T) {
 	// Push/remove enough traffic that the head index laps the backing
 	// array several times; FIFO order must survive every wrap.
-	ch := newChannel()
+	ch := testChannel()
 	next := uint64(0)
 	want := uint64(0)
 	for i := 0; i < 5; i++ {
@@ -91,7 +123,7 @@ func TestChannelRingWrapAround(t *testing.T) {
 }
 
 func TestChannelRemoveMidQueue(t *testing.T) {
-	ch := newChannel()
+	ch := testChannel()
 	for i := 0; i < 4; i++ {
 		ch.push(mkFlit(uint64(i), i%2, FlitBody), 0)
 	}
@@ -111,34 +143,110 @@ func TestChannelRemoveMidQueue(t *testing.T) {
 }
 
 func TestChannelEarliestReady(t *testing.T) {
-	ch := newChannel()
-	if e := ch.earliestReady(); e != -1 {
-		t.Fatalf("empty channel earliestReady = %d", e)
+	ch := testChannel()
+	if e := *ch.minReady; e != noReady {
+		t.Fatalf("empty channel earliest-ready slot = %d", e)
 	}
 	ch.push(mkFlit(1, 0, FlitHead), 42)
 	ch.push(mkFlit(2, 0, FlitBody), 17)
-	if e := ch.earliestReady(); e != 17 {
-		t.Fatalf("earliestReady = %d, want 17", e)
+	if e := *ch.minReady; e != 17 {
+		t.Fatalf("earliest-ready slot = %d, want 17", e)
 	}
 }
 
+// TestChannelAnyReady pins the "slot <= cycle" test the wake and
+// delivery scans apply to the earliest-ready slot.
 func TestChannelAnyReady(t *testing.T) {
-	ch := newChannel()
-	if ch.anyReady(100) {
+	ch := testChannel()
+	if *ch.minReady <= 100 {
 		t.Fatal("empty channel has nothing ready")
 	}
 	ch.push(mkFlit(1, 0, FlitHead), 50)
-	if ch.anyReady(49) {
+	if *ch.minReady <= 49 {
 		t.Fatal("not ready yet")
 	}
-	if !ch.anyReady(50) {
+	if *ch.minReady > 50 {
 		t.Fatal("ready at readyAt")
+	}
+}
+
+func TestChannelEarliestReadyMidQueueRemoval(t *testing.T) {
+	ch := testChannel()
+	ch.push(mkFlit(1, 0, FlitHead), 30)
+	ch.push(mkFlit(2, 1, FlitHead), 10)
+	ch.push(mkFlit(3, 0, FlitBody), 20)
+	ch.remove(1) // the minimum, from mid-queue
+	if e := *ch.minReady; e != 20 {
+		t.Fatalf("after removing the mid-queue minimum, slot = %d, want 20", e)
+	}
+	ch.remove(0) // not the minimum: the slot stays
+	if e := *ch.minReady; e != 20 {
+		t.Fatalf("after removing a non-minimum, slot = %d, want 20", e)
+	}
+}
+
+func TestChannelEarliestReadyRemoveToEmpty(t *testing.T) {
+	ch := testChannel()
+	ch.push(mkFlit(1, 0, FlitHead), 7)
+	ch.push(mkFlit(2, 0, FlitTail), 7)
+	ch.remove(0)
+	if e := *ch.minReady; e != 7 {
+		t.Fatalf("tied minimum must survive one removal: slot = %d", e)
+	}
+	ch.remove(0)
+	if e := *ch.minReady; e != noReady {
+		t.Fatalf("empty channel must reset the slot to noReady, got %d", e)
+	}
+}
+
+func TestChannelEarliestReadyNonMonotone(t *testing.T) {
+	// A hop-level NACK adds 3 cycles per retry, so a flit pushed later
+	// can be ready earlier than one queued ahead of it.
+	ch := testChannel()
+	ch.push(mkFlit(1, 0, FlitHead), 105) // sent at 100, one retransmit
+	ch.push(mkFlit(2, 1, FlitHead), 103) // sent at 101, clean
+	if e := *ch.minReady; e != 103 {
+		t.Fatalf("slot = %d, want 103", e)
+	}
+	if idx := ch.peekReady(103, true, bufSink(2)); idx != 1 {
+		t.Fatalf("the later-pushed, earlier-ready flit must deliver first: idx=%d", idx)
+	}
+	ch.remove(1)
+	if e := *ch.minReady; e != 105 {
+		t.Fatalf("slot = %d, want 105", e)
+	}
+}
+
+func TestChannelEarliestReadyAcrossWrap(t *testing.T) {
+	// Random pushes and removals, with the live window lapping the ring
+	// many times: the slot must always equal a full rescan.
+	rng := rand.New(rand.NewSource(3))
+	ch := testChannel()
+	next := uint64(0)
+	wraps := 0
+	for step := 0; step < 5000; step++ {
+		head := ch.head
+		if ch.len() == 0 || (ch.len() < 12 && rng.Intn(2) == 0) {
+			ch.push(mkFlit(next, rng.Intn(4), FlitBody), int64(100+rng.Intn(20)))
+			next++
+		} else {
+			ch.remove(rng.Intn(ch.len()))
+			if ch.head < head {
+				wraps++
+			}
+		}
+		if got, want := *ch.minReady, ch.scanMinReady(); got != want {
+			t.Fatalf("step %d: slot = %d, rescan = %d", step, got, want)
+		}
+	}
+	if wraps < 10 {
+		t.Fatalf("head wrapped only %d times; the test lost its coverage", wraps)
 	}
 }
 
 func TestRouterFreeVCRoundRobin(t *testing.T) {
 	cfg := testConfig()
-	op := newOutputPort(cfg, 1, PortWest, newChannel())
+	op := newOutputPort(cfg, 1, PortWest, testChannel())
 	a := op.freeVC()
 	op.vcBusy[a] = true
 	b := op.freeVC()
@@ -199,7 +307,7 @@ func TestChannelRemoveShiftsShorterSideAcrossWrap(t *testing.T) {
 	// Build a wrapped ring: fill the 8-slot backing array, drain the
 	// first five, refill — the live window now spans the wrap point.
 	mk := func() *Channel {
-		ch := newChannel()
+		ch := testChannel()
 		for i := 0; i < 8; i++ {
 			ch.push(mkFlit(uint64(i), 0, FlitBody), 0)
 		}
@@ -254,12 +362,12 @@ func TestChannelPeekReadyUntrackedVCBarrier(t *testing.T) {
 	// input). All untracked VCs collapse into one pessimistic lane: a
 	// blocked untracked flit bars every later untracked flit, so a
 	// same-VC overtake can never slip through the fallback.
-	ch := newChannel()
+	ch := testChannel()
 	ch.push(mkFlit(1, vcTrackLimit+6, FlitHead), 100) // untracked, not ready
 	ch.push(mkFlit(2, vcTrackLimit+6, FlitBody), 0)   // untracked, ready: must NOT overtake
 	ch.push(mkFlit(3, vcTrackLimit+9, FlitHead), 0)   // other untracked VC: still barred
 	ch.push(mkFlit(4, 1, FlitHead), 0)                // tracked VC: deliverable
-	accept := func(*Flit) bool { return true }
+	accept := bufSink(vcTrackLimit + 10)
 	if idx := ch.peekReady(5, true, accept); idx != 3 {
 		t.Fatalf("scan must bar untracked VCs behind their blocked head and pick the tracked flit: idx=%d", idx)
 	}

@@ -138,3 +138,40 @@ func TestInvariantsParsecAllTechShapes(t *testing.T) {
 		}
 	}
 }
+
+// TestInvariantsCatchSlabCorruption checks that CheckInvariants audits the
+// occupied-VC masks and the earliest-ready slab mid-run, not only at
+// quiescence: one flipped mask bit or one stale slot must be reported.
+func TestInvariantsCatchSlabCorruption(t *testing.T) {
+	cfg := channelConfig()
+	n, err := New(cfg, uniformGen(t, cfg, 0.3, 5000), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		n.Step()
+	}
+	if n.bufferedFlits == 0 {
+		t.Fatal("network idle mid-run; the check would not cover busy state")
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatalf("healthy network: %v", err)
+	}
+
+	n.rOccVC[5] ^= 1 << (PortWest*cfg.VCs + 1)
+	if err := n.CheckInvariants(); err == nil {
+		t.Fatal("a flipped occupied-VC bit went unreported")
+	}
+	n.rOccVC[5] ^= 1 << (PortWest*cfg.VCs + 1)
+
+	slot := 5*NumPorts + PortWest
+	saved := n.inMinReady[slot]
+	n.inMinReady[slot] = saved - 1
+	if err := n.CheckInvariants(); err == nil {
+		t.Fatal("a stale earliest-ready slot went unreported")
+	}
+	n.inMinReady[slot] = saved
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatalf("restored network: %v", err)
+	}
+}

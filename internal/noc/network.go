@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"intellinoc/internal/ecc"
@@ -121,6 +122,17 @@ type Network struct {
 	rIdle     []int32  // CP-style idle streak toward the gate threshold
 	rBufCount []int32  // total flits across the router's input VC buffers
 	rStatic   []uint64 // cycles accumulated in the current static state
+	// rOccVC is each router's occupied-VC mask: bit p*VCs+v is set
+	// exactly when input VC (p, v) holds a flit, so the SA/VA/RC scans
+	// visit only non-empty VCs, in the port-major, VC-minor order of a
+	// nested port×VC loop.
+	rOccVC []uint64
+	// inMinReady holds, per input channel (nodes×NumPorts, row-major by
+	// router id), the earliest readyAt among its queued flits, or noReady
+	// when the channel is empty or absent. Channel.push/remove keep it
+	// exact; the delivery, wake and fast-forward scans read it instead of
+	// the rings.
+	inMinReady []int64
 	// portOcc mirrors each input port's buffer occupancy (nodes×NumPorts,
 	// row-major by router id); winOcc is the matching per-window
 	// summed-occupancy counter the RL observation reads. Both are
@@ -263,13 +275,15 @@ func New(cfg Config, gen traffic.Generator, ctrl Controller) (*Network, error) {
 		linkReRelaxed: make([]float64, nodes),
 		powersBuf:     make([]float64, nodes),
 
-		rGated:    make([]bool, nodes),
-		rWaking:   make([]int32, nodes),
-		rIdle:     make([]int32, nodes),
-		rBufCount: make([]int32, nodes),
-		rStatic:   make([]uint64, nodes),
-		portOcc:   make([]int32, nodes*NumPorts),
-		winOcc:    make([]uint64, nodes*NumPorts),
+		rGated:     make([]bool, nodes),
+		rWaking:    make([]int32, nodes),
+		rIdle:      make([]int32, nodes),
+		rBufCount:  make([]int32, nodes),
+		rStatic:    make([]uint64, nodes),
+		rOccVC:     make([]uint64, nodes),
+		inMinReady: make([]int64, nodes*NumPorts),
+		portOcc:    make([]int32, nodes*NumPorts),
+		winOcc:     make([]uint64, nodes*NumPorts),
 	}
 	if bc, ok := ctrl.(BufferController); ok {
 		n.bufCtrl = bc
@@ -301,6 +315,9 @@ func (n *Network) buildTopology() {
 	cfg := n.cfg
 	nodes := n.topo.Nodes()
 	n.routers = make([]*Router, nodes)
+	for i := range n.inMinReady {
+		n.inMinReady[i] = noReady
+	}
 	for id := 0; id < nodes; id++ {
 		x, y := n.topo.Coords(id)
 		r := &Router{
@@ -308,19 +325,16 @@ func (n *Network) buildTopology() {
 			mode: ModeSECDED, bypassLock: -1,
 			lastScheme: ecc.SchemeSECDED,
 		}
-		for p := 0; p < NumPorts; p++ {
-			r.in[p] = nil
-			r.out[p] = nil
-		}
 		// Local input port always exists (injection).
-		r.in[PortLocal] = newInputPort(cfg, -1, -1, nil)
+		r.in[PortLocal] = newInputPort(cfg, nil, nil)
 		// Local output port: ejection sink (no channel) unless the
 		// topology rewires it as a real link below (chiplet interposer
 		// routers spend theirs on the vertical entry-node link).
 		r.out[PortLocal] = newOutputPort(cfg, -1, -1, nil)
 		n.routers[id] = r
 	}
-	// Wire links; each direction gets its own channel.
+	// Wire links; each direction gets its own channel, whose
+	// earliest-ready slot belongs to the receiving input port.
 	for id := 0; id < nodes; id++ {
 		r := n.routers[id]
 		for p := 0; p < NumPorts; p++ {
@@ -330,32 +344,15 @@ func (n *Network) buildTopology() {
 			}
 			// Channel occupancy is governed by per-VC credits, not
 			// a hard FIFO bound (see newOutputPort).
-			ch := newChannel()
+			ch := newChannel(&n.inMinReady[nb*NumPorts+nbPort])
 			r.out[p] = newOutputPort(cfg, nb, nbPort, ch)
-			n.routers[nb].in[nbPort] = newInputPort(cfg, id, p, ch)
-		}
-	}
-	// Build the per-port delivery predicates once, so the per-cycle
-	// channel scans don't allocate a fresh closure per call.
-	for _, r := range n.routers {
-		for p := 0; p < NumPorts; p++ {
-			ip := r.in[p]
-			if ip == nil {
-				continue
-			}
-			ip, r, p := ip, r, p
-			ip.acceptBuf = func(f *Flit) bool {
-				return len(ip.vcs[f.VC].buf) < n.cfg.BufDepth
-			}
-			ip.acceptBypass = func(f *Flit) bool {
-				return n.bypassCanForward(r, p, f)
-			}
+			n.routers[nb].in[nbPort] = newInputPort(cfg, r.out[p].credits, ch)
 		}
 	}
 }
 
-func newInputPort(cfg Config, upRouter, upPort int, ch *Channel) *inputPort {
-	ip := &inputPort{ch: ch, upRouter: upRouter, upPort: upPort, vcs: make([]inputVC, cfg.VCs)}
+func newInputPort(cfg Config, upCredits []int, ch *Channel) *inputPort {
+	ip := &inputPort{ch: ch, upCredits: upCredits, vcs: make([]inputVC, cfg.VCs)}
 	for v := range ip.vcs {
 		ip.vcs[v].reset()
 	}
@@ -583,13 +580,8 @@ func (n *Network) idleSpan() int64 {
 		// earliest readyAt; a flit already ready may be deliverable or
 		// credit-blocked — either way this cycle is not provably idle.
 		hasChTraffic := false
-		for p := 0; p < NumPorts; p++ {
-			ip := r.in[p]
-			if ip == nil || ip.ch == nil {
-				continue
-			}
-			e := ip.ch.earliestReady()
-			if e < 0 {
+		for _, e := range n.inMinReady[id*NumPorts : (id+1)*NumPorts] {
+			if e == noReady {
 				continue
 			}
 			hasChTraffic = true
@@ -632,7 +624,7 @@ func (n *Network) untilBoundary(cy, interval int64) int64 {
 // the cycle-by-cycle loop would. idleSpan guarantees no other state can
 // change during the span.
 func (n *Network) fastForward(k int64) {
-	for id, r := range n.routers {
+	for id := range n.routers {
 		n.rStatic[id] += uint64(k)
 		if n.rGated[id] {
 			n.gatedCycles += uint64(k)
@@ -645,7 +637,7 @@ func (n *Network) fastForward(k int64) {
 			continue
 		}
 		if n.cfg.PowerGating && !n.cfg.Bypass {
-			if n.hasChannelTraffic(r, n.cycle) {
+			if n.hasChannelTraffic(id) {
 				n.rIdle[id] = 0
 			} else {
 				n.rIdle[id] += int32(k) // idleSpan keeps this below the gate threshold
@@ -680,8 +672,8 @@ func (n *Network) powerStateStep(r *Router, cy int64, slot *shardSlot) {
 		// CP-style gated routers (no bypass) wake when traffic shows
 		// up at any input channel.
 		if !n.cfg.Bypass {
-			for p := 0; p < NumPorts; p++ {
-				if r.in[p] != nil && r.in[p].ch != nil && r.in[p].ch.anyReady(cy) {
+			for _, e := range n.inMinReady[id*NumPorts : (id+1)*NumPorts] {
+				if e <= cy {
 					n.triggerWake(r, slot)
 					break
 				}
@@ -699,7 +691,7 @@ func (n *Network) powerStateStep(r *Router, cy int64, slot *shardSlot) {
 	// CP-style idle gating: a long-enough idle streak powers the
 	// router down.
 	if n.cfg.PowerGating && !n.cfg.Bypass {
-		if n.empty(id) && !n.hasChannelTraffic(r, cy) && !n.nics[id].pending() {
+		if n.empty(id) && !n.hasChannelTraffic(id) && !n.nics[id].pending() {
 			n.rIdle[id]++
 			if int(n.rIdle[id]) >= n.cfg.IdleGateCycles {
 				n.flushStatic(r)
@@ -713,9 +705,11 @@ func (n *Network) powerStateStep(r *Router, cy int64, slot *shardSlot) {
 	}
 }
 
-func (n *Network) hasChannelTraffic(r *Router, cy int64) bool {
-	for p := 0; p < NumPorts; p++ {
-		if r.in[p] != nil && r.in[p].ch != nil && r.in[p].ch.len() > 0 {
+// hasChannelTraffic reports whether any input channel of router id holds
+// a flit.
+func (n *Network) hasChannelTraffic(id int) bool {
+	for _, e := range n.inMinReady[id*NumPorts : (id+1)*NumPorts] {
+		if e != noReady {
 			return true
 		}
 	}
@@ -751,24 +745,30 @@ func (n *Network) flushStatic(r *Router) {
 }
 
 // deliverChannels moves at most one flit per input port from the channel
-// into its VC buffer. It mutates only the router's own channels and
-// buffers, so the sharded stepper runs it in parallel across shards; the
-// cross-router side effects (bufferedFlits, lastProgress, the delivery
-// events) go through slot when non-nil and are committed at the barrier.
+// into its VC buffer. A port whose earliest-ready slot lies in the future
+// (or holds noReady) is skipped without touching its channel. It mutates
+// only the router's own channels and buffers, so the sharded stepper runs
+// it in parallel across shards; the cross-router side effects
+// (bufferedFlits, lastProgress, the delivery events) go through slot when
+// non-nil and are committed at the barrier.
 func (n *Network) deliverChannels(r *Router, cy int64, slot *shardSlot) {
+	base := r.id * NumPorts
 	for p := 0; p < NumPorts; p++ {
-		ip := r.in[p]
-		if ip == nil || ip.ch == nil {
+		if n.inMinReady[base+p] > cy {
 			continue
 		}
-		idx := ip.ch.peekReady(cy, n.cfg.DynamicChannelAlloc, ip.acceptBuf)
+		ip := r.in[p]
+		sink := chanSink{vcs: ip.vcs, depth: n.cfg.BufDepth}
+		idx := ip.ch.peekReady(cy, n.cfg.DynamicChannelAlloc, &sink)
 		if idx < 0 {
 			continue
 		}
+		vc := ip.ch.at(idx).vc
 		f := ip.ch.remove(idx)
-		ip.vcs[f.VC].buf = append(ip.vcs[f.VC].buf, f)
+		ip.vcs[vc].buf = append(ip.vcs[vc].buf, f)
+		n.rOccVC[r.id] |= 1 << (p*n.cfg.VCs + vc)
 		n.rBufCount[r.id]++
-		n.portOcc[r.id*NumPorts+p]++
+		n.portOcc[base+p]++
 		ip.winFlitsIn++
 		n.meters[r.id].Record(power.EventCounts{BufWrites: 1})
 		if slot == nil {
@@ -786,42 +786,37 @@ func (n *Network) deliverChannels(r *Router, cy int64, slot *shardSlot) {
 	}
 }
 
+// A router's (port, VC) slots index one uint64: the occupied-VC mask and
+// the switch-allocation request masks. Config.Validate caps VCs at maxVCs,
+// and the conversion below fails to compile if that could overflow.
+const _ = uint(64 - NumPorts*maxVCs) // compile-time: NumPorts*maxVCs <= 64
+
 // saStage performs switch allocation and traversal: one flit per output
 // port, one per input port, credits permitting.
-// maxSASlots bounds the per-router (port, VC) slot space the switch
-// allocator scans (Config.Validate caps VCs accordingly).
-const maxSASlots = NumPorts * maxVCs
-
 func (n *Network) saStage(r *Router, cy int64) {
-	var cand [NumPorts][maxSASlots]int16
-	var candN [NumPorts]int
-	n.saBuild(r, &cand, &candN)
-	n.saCommit(r, cy, &cand, &candN)
+	var req [NumPorts]uint64
+	n.saBuild(r, &req)
+	n.saCommit(r, cy, &req)
 }
 
 // saBuild is the read-only half of switch allocation: one pass over the
-// input VCs builds per-output candidate lists, so arbitration only touches
-// slots that actually hold a routed flit — the hot loop of the whole
-// simulator. It reads nothing outside the router, which is what lets the
-// sharded stepper run it in parallel across shards: the candidate set a
-// router sees is the same whether its neighbours' commits have run or not
-// (commits never touch another router's input VCs).
-func (n *Network) saBuild(r *Router, cand *[NumPorts][maxSASlots]int16, candN *[NumPorts]int) {
-	*candN = [NumPorts]int{}
-	for inP := 0; inP < NumPorts; inP++ {
-		ip := r.in[inP]
-		if ip == nil {
+// occupied input VCs builds a request mask per output port (bit
+// p*VCs+v), so arbitration only touches slots that actually hold a routed
+// flit — the hot loop of the whole simulator. It reads nothing outside
+// the router, which is what lets the sharded stepper run it in parallel
+// across shards: the request set a router sees is the same whether its
+// neighbours' commits have run or not (commits never touch another
+// router's input VCs).
+func (n *Network) saBuild(r *Router, req *[NumPorts]uint64) {
+	*req = [NumPorts]uint64{}
+	vcs := n.cfg.VCs
+	for m := n.rOccVC[r.id]; m != 0; m &= m - 1 {
+		slot := bits.TrailingZeros64(m)
+		ivc := &r.in[slot/vcs].vcs[slot%vcs]
+		if ivc.route < 0 || ivc.outVC < 0 {
 			continue
 		}
-		for vc := range ip.vcs {
-			ivc := &ip.vcs[vc]
-			if len(ivc.buf) == 0 || ivc.route < 0 || ivc.outVC < 0 {
-				continue
-			}
-			o := ivc.route
-			cand[o][candN[o]] = int16(inP*n.cfg.VCs + vc)
-			candN[o]++
-		}
+		req[ivc.route] |= 1 << slot
 	}
 }
 
@@ -830,48 +825,48 @@ func (n *Network) saBuild(r *Router, cand *[NumPorts][maxSASlots]int16, candN *[
 // are visible to higher-numbered routers within the same cycle, so the
 // sharded stepper runs all commits sequentially in router-index order —
 // exactly the sequential schedule — after the parallel build phase.
-func (n *Network) saCommit(r *Router, cy int64, cand *[NumPorts][maxSASlots]int16, candN *[NumPorts]int) {
+func (n *Network) saCommit(r *Router, cy int64, req *[NumPorts]uint64) {
 	var inputUsed [NumPorts]bool
 	for outP := 0; outP < NumPorts; outP++ {
-		if candN[outP] == 0 {
-			continue
+		if req[outP] != 0 {
+			n.arbitrateOutput(r, r.out[outP], cy, &inputUsed, req[outP])
 		}
-		n.arbitrateOutput(r, r.out[outP], outP, cy, &inputUsed, cand[outP][:candN[outP]])
 	}
 }
 
-func (n *Network) arbitrateOutput(r *Router, op *outputPort, outP int, cy int64, inputUsed *[NumPorts]bool, cands []int16) {
-	total := NumPorts * n.cfg.VCs
-	// Round-robin: examine candidates in circular slot order starting at
-	// the RR pointer, granting the first eligible one.
-	for len(cands) > 0 {
-		bestIdx, bestDist := 0, total+1
-		for i, c := range cands {
-			if d := (int(c) - op.saRR + total) % total; d < bestDist {
-				bestIdx, bestDist = i, d
-			}
-		}
-		slot := int(cands[bestIdx])
-		cands[bestIdx] = cands[len(cands)-1]
-		cands = cands[:len(cands)-1]
+// rrNext returns the round-robin winner among the set bits of req: the
+// first one at or above from, else the lowest. req must be non-zero.
+func rrNext(req uint64, from int) int {
+	if above := req >> from << from; above != 0 {
+		return bits.TrailingZeros64(above)
+	}
+	return bits.TrailingZeros64(req)
+}
 
-		inP, vc := slot/n.cfg.VCs, slot%n.cfg.VCs
+// arbitrateOutput grants output port op to the first eligible requester
+// in circular slot order from the round-robin pointer. Every eligibility
+// test is side-effect-free, and the credit and VA-timing checks come
+// before any flit load, so blocked requesters never touch flit memory.
+func (n *Network) arbitrateOutput(r *Router, op *outputPort, cy int64, inputUsed *[NumPorts]bool, req uint64) {
+	vcs := n.cfg.VCs
+	for req != 0 {
+		slot := rrNext(req, op.saRR)
+		req &^= 1 << slot
+		inP, vc := slot/vcs, slot%vcs
 		if inputUsed[inP] {
 			continue
 		}
-		ivc := &r.in[inP].vcs[vc]
-		if len(ivc.buf) == 0 {
-			continue
-		}
-		f := ivc.buf[0]
-		if f.Type.IsHead() && ivc.vaAt >= cy {
-			continue // VA completed this very cycle; SA is next cycle
-		}
+		ip := r.in[inP]
+		ivc := &ip.vcs[vc]
 		// Credit-based flow control: the flit needs a reserved slot in
 		// the downstream VC's combined channel+buffer storage. Ejection
 		// sinks (ports with no outgoing channel) are uncredited.
 		if op.ch != nil && op.credits[ivc.outVC] <= 0 {
 			continue
+		}
+		f := ivc.buf[0]
+		if ivc.vaAt >= cy && f.Type.IsHead() {
+			continue // VA completed this very cycle; SA is next cycle
 		}
 		// Grant: pop the flit and traverse. Shifting down (rather than
 		// re-slicing forward) keeps the buffer's capacity anchored so
@@ -880,11 +875,14 @@ func (n *Network) arbitrateOutput(r *Router, op *outputPort, outP int, cy int64,
 		copy(ivc.buf, ivc.buf[1:])
 		ivc.buf[last] = nil
 		ivc.buf = ivc.buf[:last]
+		if last == 0 {
+			n.rOccVC[r.id] &^= 1 << slot
+		}
 		n.rBufCount[r.id]--
 		n.portOcc[r.id*NumPorts+inP]--
 		n.bufferedFlits--
 		inputUsed[inP] = true
-		op.saRR = (slot + 1) % total
+		op.saRR = (slot + 1) % (NumPorts * vcs)
 		if f.Type.IsHead() {
 			if pi := n.packets.get(f.PacketID); pi != nil {
 				pi.path = append(pi.path, uint16(r.id))
@@ -892,8 +890,8 @@ func (n *Network) arbitrateOutput(r *Router, op *outputPort, outP int, cy int64,
 		}
 		n.meters[r.id].Record(power.EventCounts{BufReads: 1, XbarTraverses: 1})
 		// The freed channel+buffer slot's credit returns upstream.
-		if up := r.in[inP].upRouter; up >= 0 {
-			n.routers[up].out[r.in[inP].upPort].credits[vc]++
+		if ip.upCredits != nil {
+			ip.upCredits[vc]++
 		}
 		outVC := ivc.outVC
 		if f.Type.IsTail() {
@@ -907,7 +905,7 @@ func (n *Network) arbitrateOutput(r *Router, op *outputPort, outP int, cy int64,
 			op.credits[outVC]--
 			op.winVCFlits[outVC]++
 			n.emitFlit(cy, EvTraverse, r.id, f)
-			n.sendOnLink(r, op, f, cy, false)
+			n.sendOnLink(r, op, f, cy)
 		}
 		n.lastProgress = cy
 		return
@@ -916,28 +914,24 @@ func (n *Network) arbitrateOutput(r *Router, op *outputPort, outP int, cy int64,
 
 // vaStage allocates output VCs to routed head flits.
 func (n *Network) vaStage(r *Router, cy int64) {
-	for p := 0; p < NumPorts; p++ {
-		ip := r.in[p]
-		if ip == nil {
+	vcs := n.cfg.VCs
+	for m := n.rOccVC[r.id]; m != 0; m &= m - 1 {
+		slot := bits.TrailingZeros64(m)
+		ivc := &r.in[slot/vcs].vcs[slot%vcs]
+		if ivc.route < 0 || ivc.outVC >= 0 {
 			continue
 		}
-		for v := range ip.vcs {
-			ivc := &ip.vcs[v]
-			if len(ivc.buf) == 0 || ivc.route < 0 || ivc.outVC >= 0 {
-				continue
-			}
-			if !ivc.buf[0].Type.IsHead() {
-				continue
-			}
-			if ivc.routedAt >= cy {
-				continue // RC finished this cycle; VA is next cycle
-			}
-			op := r.out[ivc.route]
-			if free := op.freeVCIn(ivc.vcClass, n.vcClasses); free >= 0 {
-				op.vcBusy[free] = true
-				ivc.outVC = free
-				ivc.vaAt = cy
-			}
+		if ivc.routedAt >= cy {
+			continue // RC finished this cycle; VA is next cycle
+		}
+		if !ivc.buf[0].Type.IsHead() {
+			continue
+		}
+		op := r.out[ivc.route]
+		if free := op.freeVCIn(ivc.vcClass, n.vcClasses); free >= 0 {
+			op.vcBusy[free] = true
+			ivc.outVC = free
+			ivc.vaAt = cy
 		}
 	}
 }
@@ -947,56 +941,52 @@ func (n *Network) vaStage(r *Router, cy int64) {
 // the control-fault count must accumulate per shard and the PRNG draw
 // comes from the coordinator's pre-banked rcDraws instead of the stream.
 func (n *Network) rcStage(r *Router, cy int64, slot *shardSlot) {
-	for p := 0; p < NumPorts; p++ {
-		ip := r.in[p]
-		if ip == nil {
+	vcs := n.cfg.VCs
+	for m := n.rOccVC[r.id]; m != 0; m &= m - 1 {
+		s := bits.TrailingZeros64(m)
+		ivc := &r.in[s/vcs].vcs[s%vcs]
+		if ivc.route >= 0 {
 			continue
 		}
-		for v := range ip.vcs {
-			ivc := &ip.vcs[v]
-			if len(ivc.buf) == 0 || ivc.route >= 0 {
-				continue
+		f := ivc.buf[0]
+		if !f.Type.IsHead() {
+			continue
+		}
+		ivc.route, ivc.vcClass = n.route(r, f)
+		ivc.routedAt = cy
+		if n.cfg.ControlFaultRate > 0 {
+			var draw float64
+			if n.rcPredrawn {
+				draw = n.rcDraws[r.id*NumPorts*vcs+s]
+			} else {
+				draw = n.rng.Float64()
 			}
-			f := ivc.buf[0]
-			if !f.Type.IsHead() {
-				continue
-			}
-			ivc.route, ivc.vcClass = n.route(r, f)
-			ivc.routedAt = cy
-			if n.cfg.ControlFaultRate > 0 {
-				var draw float64
-				if n.rcPredrawn {
-					draw = n.rcDraws[(r.id*NumPorts+p)*n.cfg.VCs+v]
+			if draw < n.cfg.ControlFaultRate {
+				// Parity caught a routing-table upset: recompute
+				// after the penalty (route itself stays correct).
+				penalty := int64(n.cfg.ControlFaultPenalty)
+				if penalty <= 0 {
+					penalty = 2
+				}
+				ivc.routedAt = cy + penalty
+				if slot != nil {
+					slot.controlFaults++
 				} else {
-					draw = n.rng.Float64()
-				}
-				if draw < n.cfg.ControlFaultRate {
-					// Parity caught a routing-table upset: recompute
-					// after the penalty (route itself stays correct).
-					penalty := int64(n.cfg.ControlFaultPenalty)
-					if penalty <= 0 {
-						penalty = 2
-					}
-					ivc.routedAt = cy + penalty
-					if slot != nil {
-						slot.controlFaults++
-					} else {
-						n.controlFaults++
-					}
+					n.controlFaults++
 				}
 			}
-			if !n.cfg.HasVAStage {
-				// EB-style routers fold VC selection into RC,
-				// eliminating the VA stage.
-				op := r.out[ivc.route]
-				if free := op.freeVCIn(ivc.vcClass, n.vcClasses); free >= 0 {
-					op.vcBusy[free] = true
-					ivc.outVC = free
-					ivc.vaAt = cy
-				} else {
-					// Retry allocation in later cycles.
-					ivc.route = -1
-				}
+		}
+		if !n.cfg.HasVAStage {
+			// EB-style routers fold VC selection into RC,
+			// eliminating the VA stage.
+			op := r.out[ivc.route]
+			if free := op.freeVCIn(ivc.vcClass, n.vcClasses); free >= 0 {
+				op.vcBusy[free] = true
+				ivc.outVC = free
+				ivc.vaAt = cy
+			} else {
+				// Retry allocation in later cycles.
+				ivc.route = -1
 			}
 		}
 	}
@@ -1012,29 +1002,22 @@ func (n *Network) rcStage(r *Router, cy int64, slot *shardSlot) {
 // never changes a VC's buffered flits or clears its route, so running VA
 // first (as the phase does per router) cannot change who qualifies.
 func (n *Network) predrawControlFaults() {
-	stride := NumPorts * n.cfg.VCs
+	vcs := n.cfg.VCs
+	stride := NumPorts * vcs
 	if n.rcDraws == nil {
 		n.rcDraws = make([]float64, len(n.routers)*stride)
 	}
 	for id, r := range n.routers {
-		if !n.active(id) || n.rBufCount[id] == 0 {
+		if !n.active(id) {
 			continue
 		}
-		for p := 0; p < NumPorts; p++ {
-			ip := r.in[p]
-			if ip == nil {
+		for m := n.rOccVC[id]; m != 0; m &= m - 1 {
+			slot := bits.TrailingZeros64(m)
+			ivc := &r.in[slot/vcs].vcs[slot%vcs]
+			if ivc.route >= 0 || !ivc.buf[0].Type.IsHead() {
 				continue
 			}
-			for v := range ip.vcs {
-				ivc := &ip.vcs[v]
-				if len(ivc.buf) == 0 || ivc.route >= 0 {
-					continue
-				}
-				if !ivc.buf[0].Type.IsHead() {
-					continue
-				}
-				n.rcDraws[id*stride+p*n.cfg.VCs+v] = n.rng.Float64()
-			}
+			n.rcDraws[id*stride+slot] = n.rng.Float64()
 		}
 	}
 	n.rcPredrawn = true
@@ -1096,7 +1079,8 @@ func (n *Network) tryBypassPort(r *Router, p int, cy int64) bool {
 		if ip == nil || ip.ch == nil {
 			return false
 		}
-		chIdx = ip.ch.peekReady(cy, true, ip.acceptBypass)
+		sink := chanSink{n: n, r: r, p: p}
+		chIdx = ip.ch.peekReady(cy, true, &sink)
 		if chIdx < 0 {
 			return false
 		}
@@ -1132,10 +1116,11 @@ func (n *Network) tryBypassPort(r *Router, p int, cy int64) bool {
 	} else {
 		// The flit leaves this router's channel: return the storage
 		// credit to the upstream sender.
-		r.in[p].ch.remove(chIdx)
-		r.in[p].winFlitsIn++
-		if up := r.in[p].upRouter; up >= 0 {
-			n.routers[up].out[r.in[p].upPort].credits[f.VC]++
+		ip := r.in[p]
+		ip.ch.remove(chIdx)
+		ip.winFlitsIn++
+		if ip.upCredits != nil {
+			ip.upCredits[f.VC]++
 		}
 	}
 	if f.Type.IsTail() {
@@ -1150,21 +1135,20 @@ func (n *Network) tryBypassPort(r *Router, p int, cy int64) bool {
 	r.out[route].credits[outVC]--
 	r.out[route].winVCFlits[outVC]++
 	n.emitFlit(cy, EvBypass, r.id, f)
-	n.sendOnLink(r, r.out[route], f, cy, true)
+	n.sendOnLink(r, r.out[route], f, cy)
 	return true
 }
 
 // sendOnLink pushes a flit into an output channel, applying link latency,
 // per-hop ECC latency, fault injection, and hop-level retransmission.
-func (n *Network) sendOnLink(r *Router, op *outputPort, f *Flit, cy int64, viaBypass bool) {
+func (n *Network) sendOnLink(r *Router, op *outputPort, f *Flit, cy int64) {
 	scheme := n.schemeOf(r)
 	relaxed := n.relaxedLinks(r)
 	capab := ecc.CapabilityOf(scheme)
 
-	latency := int64(2) // ST + link traversal
-	if viaBypass {
-		latency = 2 // switch + link: the bypass's entire "pipeline"
-	}
+	// ST + link traversal on the active pipeline; switch + link, the
+	// bypass's entire "pipeline", through a gated router.
+	latency := int64(2)
 	if relaxed {
 		latency++ // doubled link traversal time (mode 4)
 	}
@@ -1585,6 +1569,7 @@ func (n *Network) injectStep(r *Router, q *nic, cy int64) {
 	}
 	n.consumeNICFlit(r, q)
 	ivc.buf = append(ivc.buf, f)
+	n.rOccVC[r.id] |= 1 << (PortLocal*n.cfg.VCs + f.VC)
 	n.rBufCount[r.id]++
 	n.portOcc[r.id*NumPorts+PortLocal]++
 	n.bufferedFlits++
@@ -1839,19 +1824,38 @@ func (n *Network) CheckInvariants() error {
 	}
 	// The O(1) buffered-flit counters must mirror the buffers exactly at
 	// all times — the pipeline-skip and fast-forward paths rely on them.
+	// So must the occupied-VC masks and the earliest-ready slab, which
+	// the pipeline and delivery scans trust to skip idle VCs and ports.
 	total := 0
 	for id, r := range n.routers {
 		cnt := 0
+		var occVC uint64
 		for p := 0; p < NumPorts; p++ {
 			occ := 0
+			minReady := int64(noReady)
 			if ip := r.in[p]; ip != nil {
 				occ = ip.occupancy()
+				for v := range ip.vcs {
+					if len(ip.vcs[v].buf) > 0 {
+						occVC |= 1 << (p*n.cfg.VCs + v)
+					}
+				}
+				if ip.ch != nil {
+					minReady = ip.ch.scanMinReady()
+				}
 			}
 			if int(n.portOcc[id*NumPorts+p]) != occ {
 				return fmt.Errorf("noc: router %d %s portOcc = %d, buffers hold %d",
 					id, PortName(p), n.portOcc[id*NumPorts+p], occ)
 			}
+			if got := n.inMinReady[id*NumPorts+p]; got != minReady {
+				return fmt.Errorf("noc: router %d %s inMinReady = %d, channel's earliest readyAt is %d",
+					id, PortName(p), got, minReady)
+			}
 			cnt += occ
+		}
+		if n.rOccVC[id] != occVC {
+			return fmt.Errorf("noc: router %d rOccVC = %#x, buffers occupy %#x", id, n.rOccVC[id], occVC)
 		}
 		if cnt != int(n.rBufCount[id]) {
 			return fmt.Errorf("noc: router %d bufCount = %d, buffers hold %d", id, n.rBufCount[id], cnt)

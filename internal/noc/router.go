@@ -30,17 +30,12 @@ func (v *inputVC) reset() {
 
 // inputPort is one of the five router input ports.
 type inputPort struct {
-	ch       *Channel // incoming link (nil for the local port)
-	upRouter int      // upstream router id (-1 for local/edge)
-	upPort   int      // the upstream router's output port index
-	vcs      []inputVC
-
-	// acceptBuf and acceptBypass are the channel-delivery predicates for
-	// the active pipeline and the bypass switch. They are built once at
-	// wiring time so the per-cycle peekReady calls don't allocate a
-	// closure each (the delivery scan is on the hot path).
-	acceptBuf    func(*Flit) bool
-	acceptBypass func(*Flit) bool
+	ch *Channel // incoming link (nil for the local port)
+	// upCredits aliases the upstream output port's per-VC credits (nil
+	// for local/edge ports): a switch-allocation pop returns the freed
+	// slot's credit through it without chasing the upstream router.
+	upCredits []int
+	vcs       []inputVC
 
 	// winFlitsIn counts window deliveries for the RL state vector. The
 	// companion summed-occupancy counter lives in Network.winOcc — the
@@ -143,10 +138,11 @@ func (op *outputPort) freeVCWithCreditIn(class, classes int) int {
 }
 
 // Router is one mesh router. The per-cycle hot fields — power state
-// (gated/waking/idle), the buffered-flit count, and the static-power
-// accounting cycles — live in flat Network slabs indexed by router id
-// (rGated, rWaking, rIdle, rBufCount, rStatic), so the sharded scans walk
-// contiguous memory instead of chasing one pointer per router.
+// (gated/waking/idle), the buffered-flit count, the occupied-VC mask, and
+// the static-power accounting cycles — live in flat Network slabs indexed
+// by router id (rGated, rWaking, rIdle, rBufCount, rOccVC, rStatic), so
+// the sharded scans walk contiguous memory instead of chasing one pointer
+// per router.
 type Router struct {
 	id, x, y int
 	in       [NumPorts]*inputPort

@@ -20,7 +20,7 @@ import (
 // provably cannot observe another router's same-phase writes:
 //
 //	phase 2+3  power-state + channel deliveries   (own router/channels)
-//	phase 4a   SA candidate build                 (own input VCs)
+//	phase 4a   SA request-mask build              (own input VCs)
 //	phase 4c   VA + RC after all SA commits       (own ports; no credits)
 //	phase 6    per-cycle accounting               (own counters)
 //
@@ -115,11 +115,10 @@ type shardPool struct {
 	shardOf []int32 // owning shard per router id
 	slots   []*shardSlot
 
-	// Switch-allocation candidate scratch, indexed by router id: written
-	// by the owning shard in phase 4a, consumed by the coordinator in 4b.
-	cand    [][NumPorts][maxSASlots]int16
-	candN   [][NumPorts]int
-	hasCand []bool
+	// Switch-allocation request masks, indexed by router id: written by
+	// the owning shard in phase 4a, consumed by the coordinator in 4b.
+	req    [][NumPorts]uint64
+	hasReq []bool
 
 	cy      int64 // cycle being stepped; published by epoch.Add
 	phase   int   // phase to run; published by epoch.Add
@@ -132,10 +131,9 @@ type shardPool struct {
 func newShardPool(n *Network, shards int) *shardPool {
 	nodes := len(n.routers)
 	sp := &shardPool{
-		n:       n,
-		cand:    make([][NumPorts][maxSASlots]int16, nodes),
-		candN:   make([][NumPorts]int, nodes),
-		hasCand: make([]bool, nodes),
+		n:      n,
+		req:    make([][NumPorts]uint64, nodes),
+		hasReq: make([]bool, nodes),
 	}
 	sp.shardOf = make([]int32, nodes)
 	for s := 0; s < shards; s++ {
@@ -235,7 +233,7 @@ func (sp *shardPool) runShard(phase, s int) {
 	case phasePowerDeliver:
 		sp.powerDeliver(s)
 	case phaseSABuild:
-		sp.buildCandidates(s)
+		sp.buildRequests(s)
 	case phaseVARC:
 		sp.vaRC(s)
 	case phaseAccount:
@@ -262,20 +260,20 @@ func (sp *shardPool) powerDeliver(s int) {
 	}
 }
 
-// buildCandidates runs the read-only half of switch allocation for one
+// buildRequests runs the read-only half of switch allocation for one
 // shard, mirroring the sequential phase-4 dispatch: gated-with-bypass
 // routers are handled by the commit pass, quiescent routers are skipped.
 // Neither this phase nor any commit before it can change the condition or
-// the candidate set a router would have seen at its sequential turn.
-func (sp *shardPool) buildCandidates(s int) {
+// the request masks a router would have seen at its sequential turn.
+func (sp *shardPool) buildRequests(s int) {
 	n, bypass := sp.n, sp.n.cfg.Bypass
 	for id := sp.lo[s]; id < sp.hi[s]; id++ {
 		if n.rGated[id] && bypass {
 			continue
 		}
 		if n.active(id) && n.rBufCount[id] > 0 {
-			n.saBuild(n.routers[id], &sp.cand[id], &sp.candN[id])
-			sp.hasCand[id] = true
+			n.saBuild(n.routers[id], &sp.req[id])
+			sp.hasReq[id] = true
 		}
 	}
 }
@@ -305,7 +303,9 @@ func (sp *shardPool) vaRC(s int) {
 // belongs to a router in this shard, no other phase-6 scan touches
 // channels, and per-channel there is at most one push per cycle, so the
 // drain is race-free and leaves the rings exactly as the sequential
-// schedule would.
+// schedule would. The same holds for each push's earliest-ready slot
+// (Network.inMinReady), which belongs to the receiving router: only its
+// owning shard writes it, here and in its delivery phase.
 func (sp *shardPool) account(s int) {
 	n, slot := sp.n, sp.slots[s]
 	for i, st := range slot.stagedLinks {
@@ -384,7 +384,7 @@ func (n *Network) stepSharded(maxCycles int64) {
 		}
 	}
 
-	// 4a. Parallel switch-allocation candidate build.
+	// 4a. Parallel switch-allocation request-mask build.
 	sp.runPhase(phaseSABuild, cy)
 
 	// 4b. Ordered commit: bypass switches and switch arbitration with
@@ -395,9 +395,9 @@ func (n *Network) stepSharded(maxCycles int64) {
 		switch {
 		case n.rGated[id] && n.cfg.Bypass:
 			n.bypassStep(r, cy)
-		case sp.hasCand[id]:
-			sp.hasCand[id] = false
-			n.saCommit(r, cy, &sp.cand[id], &sp.candN[id])
+		case sp.hasReq[id]:
+			sp.hasReq[id] = false
+			n.saCommit(r, cy, &sp.req[id])
 		}
 	}
 
