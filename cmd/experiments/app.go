@@ -14,6 +14,7 @@ import (
 	"intellinoc/internal/core"
 	"intellinoc/internal/experiments"
 	"intellinoc/internal/harness"
+	"intellinoc/internal/telemetry"
 )
 
 // options carries the parsed command line.
@@ -120,13 +121,14 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 	if o.progress {
 		progress = stderr
 	}
-	var tap *telemetryTap
+	var tap *telemetry.JobTap
 	var observer func(harness.Record)
 	if o.telemetryDir != "" || o.telemetryAddr != "" {
-		tap = newTelemetryTap()
-		observer = tap.observe
+		reg := telemetry.NewRegistry()
+		tap = telemetry.NewJobTap(reg, "experiments", "experiment harness")
+		observer = tap.Observe
 		if o.telemetryAddr != "" {
-			ops, err := tap.serve(o.telemetryAddr, stderr)
+			ops, err := serveTelemetry(reg, o.telemetryAddr, stderr)
 			if err != nil {
 				return fmt.Errorf("telemetry server: %w", err)
 			}
@@ -165,7 +167,7 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 		return err
 	}
 	if tap != nil && o.telemetryDir != "" {
-		if err := tap.writeDir(o.telemetryDir); err != nil {
+		if err := tap.WriteDir(o.telemetryDir); err != nil {
 			return fmt.Errorf("writing telemetry: %w", err)
 		}
 		fmt.Fprintln(stdout, "wrote telemetry snapshot to", o.telemetryDir)
@@ -197,6 +199,19 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stdout, "wrote", o.mdPath)
 	}
 	return nil
+}
+
+// serveTelemetry exposes reg over HTTP while the suite runs: the
+// Prometheus snapshot at /metrics, expvar at /debug/vars, and the pprof
+// endpoints (telemetry.OpsHandler — the surface cmd/intellinocd mounts).
+// The caller must Shutdown the returned server when the suite completes,
+// so neither the listener nor the serve goroutine (nor a late write to
+// errlog) outlives the run. addr may use port 0; the bound address is in
+// the result. Expvar publication rebinds on re-publish, so a second
+// registry in the same process serves its own values.
+func serveTelemetry(reg *telemetry.Registry, addr string, errlog io.Writer) (*telemetry.OpsServer, error) {
+	reg.PublishExpvar("experiments")
+	return telemetry.ServeOps(addr, telemetry.OpsHandler(reg), errlog)
 }
 
 // dumpSuiteSpecs writes every unique run spec of the suite as one JSONL

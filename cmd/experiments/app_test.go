@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"intellinoc/internal/harness"
+	"intellinoc/internal/telemetry"
 )
 
 func TestParseArgsDefaults(t *testing.T) {
@@ -126,7 +127,7 @@ func TestRunWritesTelemetryDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"# TYPE experiments_jobs_completed_total counter",
+		"# TYPE experiments_jobs_executed_total counter",
 		"experiments_job_wall_ms_bucket{le=\"+Inf\"}",
 		"experiments_job_wall_ms_count",
 	} {
@@ -151,11 +152,12 @@ func TestRunWritesTelemetryDir(t *testing.T) {
 // Shutdown after which the listener refuses connections — the regression
 // test for the tap's old leak-forever go http.Serve.
 func TestTelemetryTapServeShutdown(t *testing.T) {
-	tap := newTelemetryTap()
-	tap.observe(harness.Record{Digest: "d1", Kind: "run", Name: "probe", WallMS: 3})
+	reg := telemetry.NewRegistry()
+	tap := telemetry.NewJobTap(reg, "experiments", "experiment harness")
+	tap.Observe(harness.Record{Digest: "d1", Kind: "run", Name: "probe", WallMS: 3})
 
 	var errBuf strings.Builder
-	ops, err := tap.serve("127.0.0.1:0", &errBuf)
+	ops, err := serveTelemetry(reg, "127.0.0.1:0", &errBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +170,7 @@ func TestTelemetryTapServeShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(body), "experiments_jobs_completed_total 1") {
+	if !strings.Contains(string(body), "experiments_jobs_executed_total 1") {
 		t.Fatalf("/metrics missing observed job:\n%s", body)
 	}
 	resp, err = http.Get("http://" + ops.Addr + "/debug/vars")

@@ -14,6 +14,7 @@ import (
 	"intellinoc/internal/experiments"
 	"intellinoc/internal/explore"
 	"intellinoc/internal/harness"
+	"intellinoc/internal/telemetry"
 	"intellinoc/internal/traffic"
 )
 
@@ -222,11 +223,11 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 	if o.progress {
 		progress = stderr
 	}
-	var tap *telemetryTap
+	var tap *telemetry.JobTap
 	var observer func(harness.Record)
 	if o.telemetryDir != "" {
-		tap = newTelemetryTap()
-		observer = tap.observe
+		tap = telemetry.NewJobTap(telemetry.NewRegistry(), "explore", "explore harness")
+		observer = tap.Observe
 	}
 
 	e, err := explore.New(lat, explore.Options{
@@ -307,7 +308,7 @@ func run(ctx context.Context, o options, stdout, stderr io.Writer) error {
 		}
 	}
 	if tap != nil {
-		if err := tap.writeDir(o.telemetryDir); err != nil {
+		if err := tap.WriteDir(o.telemetryDir); err != nil {
 			return fmt.Errorf("writing telemetry: %w", err)
 		}
 	}

@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"intellinoc/internal/core"
@@ -108,5 +110,44 @@ func TestSmokeGoldenFrontier(t *testing.T) {
 	}
 	if !bytes.Equal(got, golden) {
 		t.Fatalf("smoke frontier drifted from testdata/golden/explore-smoke.frontier.json:\n%s", got)
+	}
+}
+
+// TestRunWritesTelemetryDir drives -telemetry-dir on the smoke lattice:
+// every executed evaluation is stored exactly once, so the executed-jobs
+// counter equals the results file's line count, and the timeline names
+// the explore harness and its worker lanes.
+func TestRunWritesTelemetryDir(t *testing.T) {
+	dir := t.TempDir()
+	results, tdir := filepath.Join(dir, "w2.jsonl"), filepath.Join(dir, "telemetry")
+	o, err := parseArgs([]string{"-smoke", "-strategy", "all", "-workers", "2", "-progress=false",
+		"-results", results, "-telemetry-dir", tdir, "-frontier", filepath.Join(dir, "frontier.json")}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	if err := run(nil, o, io.Discard, &stderr); err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
+	}
+	raw, err := os.ReadFile(results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Count(raw, []byte("\n"))
+	prom, err := os.ReadFile(filepath.Join(tdir, "metrics.prom"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("\nexplore_jobs_executed_total %d\n", lines); lines == 0 || !strings.Contains(string(prom), want) {
+		t.Fatalf("metrics.prom missing %q:\n%s", want, prom)
+	}
+	tl, err := os.ReadFile(filepath.Join(tdir, "timeline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"explore harness"`, `"worker 0"`, `"ph":"X"`} {
+		if !strings.Contains(string(tl), want) {
+			t.Fatalf("timeline.json missing %q", want)
+		}
 	}
 }

@@ -216,8 +216,8 @@ func (s *Suite) build() {
 type RunOptions struct {
 	// Workers bounds the pool; <=0 selects GOMAXPROCS.
 	Workers int
-	// ResultsPath, when set, streams every finished job to this JSONL
-	// file.
+	// ResultsPath, when set, stores every executed job in this JSONL
+	// file (a harness.Store).
 	ResultsPath string
 	// Resume loads ResultsPath first and skips jobs whose digest is
 	// already recorded, appending only new records.
@@ -284,40 +284,22 @@ func (s *Suite) Run(opts RunOptions) (*SuiteResult, error) {
 		}
 	}
 
-	res := &SuiteResult{}
-	cache := make(map[string]harness.Record)
-	if opts.Resume && opts.ResultsPath != "" {
-		var err error
-		var skipped int
-		cache, skipped, err = harness.LoadRecords(opts.ResultsPath)
-		if err != nil {
-			return nil, err
-		}
-		res.SkippedLines = skipped
+	records, err := harness.OpenStore(opts.ResultsPath, opts.Resume)
+	if err != nil {
+		return nil, err
 	}
+	defer records.Close() // every put has flushed; Close loses nothing
+	res := &SuiteResult{SkippedLines: records.Skipped()}
 
-	var stream *harness.Writer
-	if opts.ResultsPath != "" {
-		var err error
-		stream, err = harness.OpenWriter(opts.ResultsPath, opts.Resume)
-		if err != nil {
-			return nil, err
-		}
-		defer stream.Close()
-	}
-
-	// Partition runs into cached and pending, and collect the policies
-	// the pending runs need. Policies whose dependent runs are all
-	// cached are never re-trained.
-	var pending []LabeledSpec
+	// Collect the policies the not-yet-recorded runs need. Policies
+	// whose dependent runs are all recorded are never re-trained.
 	needPolicy := make(map[string]PolicySpec)
 	var policyOrder []string
 	for _, ls := range ordered {
-		if _, ok := cache[ls.Spec.Digest()]; ok {
+		if _, ok := records.Get(ls.Spec.Digest()); ok {
 			res.JobsCached++
 			continue
 		}
-		pending = append(pending, ls)
 		if p := ls.Spec.Policy; p != nil {
 			d := p.Digest()
 			if _, ok := needPolicy[d]; !ok {
@@ -328,13 +310,11 @@ func (s *Suite) Run(opts RunOptions) (*SuiteResult, error) {
 	}
 
 	store := NewZooPolicyStore(opts.PolicyZoo)
-	results := make(map[string]json.RawMessage, len(ordered))
-	for d, rec := range cache {
-		results[d] = rec.Payload
-	}
 
 	// Phase 1: pre-train policies as first-class jobs so progress and
-	// the results stream account for them.
+	// the results file account for them. Their records are stored but
+	// never served (no Lookup): a pretrain record carries the table size,
+	// not the Q-table the runs need.
 	var pretrainJobs []harness.Job
 	for _, d := range policyOrder {
 		d, spec := d, needPolicy[d]
@@ -356,47 +336,40 @@ func (s *Suite) Run(opts RunOptions) (*SuiteResult, error) {
 		if opts.Progress != nil {
 			prog = harness.NewProgress(opts.Progress, "pretrain")
 		}
-		out, err := harness.Run(pretrainJobs, harness.Options{
-			Workers: opts.Workers, Retries: opts.Retries, Stream: stream, Progress: prog,
+		if _, err := harness.Run(pretrainJobs, harness.Options{
+			Workers: opts.Workers, Retries: opts.Retries, Store: records, Progress: prog,
 			Observer: opts.Observer, Ctx: opts.Ctx,
-		})
-		if err != nil {
+		}); err != nil {
 			return nil, err
 		}
-		res.JobsRun += len(out)
-		for d, raw := range out {
-			results[d] = raw
-		}
+		res.JobsRun += len(pretrainJobs)
 	}
 
-	// Phase 2: the simulations themselves.
+	// Phase 2: the simulations themselves. Recorded runs are served
+	// through Lookup, which Progress counts as cache hits rather than
+	// pending work in the ETA.
 	var runJobs []harness.Job
-	for _, ls := range pending {
+	for _, ls := range ordered {
 		spec := ls.Spec
 		runJobs = append(runJobs, harness.Job{
 			Digest: spec.Digest(), Kind: "run", Name: ls.Name, Seed: spec.Sim.Seed,
 			Run: func() (any, error) { return spec.ExecuteContext(opts.Ctx, store) },
 		})
 	}
+	var results map[string]json.RawMessage
 	if len(runJobs) > 0 {
 		var prog *harness.Progress
 		if opts.Progress != nil {
 			prog = harness.NewProgress(opts.Progress, "run")
 		}
-		out, err := harness.Run(runJobs, harness.Options{
-			Workers: opts.Workers, Retries: opts.Retries, Stream: stream, Progress: prog,
-			Observer: opts.Observer, Ctx: opts.Ctx,
-			// Resume-skipped specs count as cache hits in the status line,
-			// not as pending work in the ETA.
-			CachedJobs: res.JobsCached,
+		results, err = harness.Run(runJobs, harness.Options{
+			Workers: opts.Workers, Retries: opts.Retries, Store: records, Progress: prog,
+			Observer: opts.Observer, Lookup: records.Get, Ctx: opts.Ctx,
 		})
 		if err != nil {
 			return nil, err
 		}
-		res.JobsRun += len(out)
-		for d, raw := range out {
-			results[d] = raw
-		}
+		res.JobsRun += len(runJobs) - res.JobsCached
 	}
 
 	// Assembly, in report order, from the digest-keyed results — the
@@ -415,7 +388,7 @@ func (s *Suite) Run(opts RunOptions) (*SuiteResult, error) {
 	}
 
 	if s.comparisonPolicy != nil {
-		res.MaxQTableEntries = policyTableSize(*s.comparisonPolicy, store, results)
+		res.MaxQTableEntries = policyTableSize(*s.comparisonPolicy, store, records)
 	}
 	res.Zoo = store.Stats()
 	return res, nil
@@ -423,13 +396,13 @@ func (s *Suite) Run(opts RunOptions) (*SuiteResult, error) {
 
 // policyTableSize recovers a policy's Q-table size from the in-memory
 // store or, on a fully-cached resume, from its pretrain record.
-func policyTableSize(spec PolicySpec, store *PolicyStore, results map[string]json.RawMessage) int {
+func policyTableSize(spec PolicySpec, store *PolicyStore, records *harness.Store) int {
 	if p := store.Cached(spec); p != nil {
 		return p.MaxTableSize()
 	}
-	if raw, ok := results[spec.Digest()]; ok {
+	if rec, ok := records.Get(spec.Digest()); ok {
 		var info PretrainInfo
-		if err := json.Unmarshal(raw, &info); err == nil {
+		if err := json.Unmarshal(rec.Payload, &info); err == nil {
 			return info.MaxTableSize
 		}
 	}

@@ -44,9 +44,9 @@ type Options struct {
 	Workers int
 	// Retries is passed to the harness (0 selects its default).
 	Retries int
-	// ResultsPath, when set, streams every executed evaluation to this
-	// JSONL file (the same record format cmd/experiments writes, so
-	// resume healing and cmd/regress both apply).
+	// ResultsPath, when set, stores every executed evaluation in this
+	// JSONL file (a harness.Store, as cmd/experiments writes, so resume
+	// healing and cmd/regress both apply).
 	ResultsPath string
 	// Resume loads ResultsPath first; recorded digests are served from
 	// the file instead of re-simulated.
@@ -72,15 +72,14 @@ type Explorer struct {
 	lat     experiments.Lattice
 	opts    Options
 	pool    *harness.Pool
-	stream  *harness.Writer
+	records *harness.Store
 	store   *experiments.PolicyStore
 	archive *Archive
 
-	results      map[string]noc.Result // every decoded evaluation
-	requested    map[string]bool       // distinct digests ever submitted
-	infeasible   map[string]bool       // digests that evaluated infeasible
-	strategies   []string
-	skippedLines int
+	results    map[string]noc.Result // every decoded evaluation
+	requested  map[string]bool       // distinct digests ever submitted
+	infeasible map[string]bool       // digests that evaluated infeasible
+	strategies []string
 }
 
 // New validates the lattice, loads any resumable results, and starts
@@ -89,29 +88,17 @@ func New(lat experiments.Lattice, opts Options) (*Explorer, error) {
 	if err := lat.Validate(); err != nil {
 		return nil, err
 	}
+	records, err := harness.OpenStore(opts.ResultsPath, opts.Resume)
+	if err != nil {
+		return nil, err
+	}
 	e := &Explorer{
-		lat: lat, opts: opts,
+		lat: lat, opts: opts, records: records,
 		store:      experiments.NewPolicyStore(),
 		archive:    NewArchive(),
 		results:    make(map[string]noc.Result),
 		requested:  make(map[string]bool),
 		infeasible: make(map[string]bool),
-	}
-
-	cache := make(map[string]harness.Record)
-	if opts.Resume && opts.ResultsPath != "" {
-		var err error
-		cache, e.skippedLines, err = harness.LoadRecords(opts.ResultsPath)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if opts.ResultsPath != "" {
-		var err error
-		e.stream, err = harness.OpenWriter(opts.ResultsPath, opts.Resume)
-		if err != nil {
-			return nil, err
-		}
 	}
 
 	var prog *harness.Progress
@@ -120,22 +107,16 @@ func New(lat experiments.Lattice, opts Options) (*Explorer, error) {
 	}
 	e.pool = harness.NewPool(harness.Options{
 		Workers: opts.Workers, Retries: opts.Retries,
-		Stream: e.stream, Progress: prog, Observer: opts.Observer, Ctx: opts.Ctx,
-		Lookup: func(d string) (harness.Record, bool) {
-			rec, ok := cache[d]
-			return rec, ok
-		},
+		Store: records, Lookup: records.Get,
+		Progress: prog, Observer: opts.Observer, Ctx: opts.Ctx,
 	})
 	return e, nil
 }
 
-// Close tears down the pool and the results stream.
+// Close tears down the pool and the results store.
 func (e *Explorer) Close() error {
 	e.pool.Close()
-	if e.stream != nil {
-		return e.stream.Close()
-	}
-	return nil
+	return e.records.Close()
 }
 
 // Archive exposes the shared Pareto archive.
@@ -257,7 +238,7 @@ func (e *Explorer) InfeasibleCount() int { return len(e.infeasible) }
 
 // SkippedLines reports unparsable results-file lines tolerated during
 // resume.
-func (e *Explorer) SkippedLines() int { return e.skippedLines }
+func (e *Explorer) SkippedLines() int { return e.records.Skipped() }
 
 // stride picks k evenly spaced coordinates out of a deterministic list
 // (the evolutionary loop's cold-start seeding).

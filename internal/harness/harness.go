@@ -41,7 +41,7 @@ type Job struct {
 	Run func() (any, error)
 }
 
-// Record is one line of the JSONL results stream.
+// Record is one line of a JSONL results file (see Store).
 type Record struct {
 	Digest   string          `json:"digest"`
 	Kind     string          `json:"kind"`
@@ -60,26 +60,23 @@ type Options struct {
 	// first attempt (so Retries=1 means up to two attempts). Negative
 	// disables retry.
 	Retries int
-	// Stream, when non-nil, receives every finished record.
-	Stream *Writer
+	// Store, when non-nil, receives every executed record (see
+	// Store.put: on disk before it is indexed). Cache hits are not
+	// re-stored.
+	Store *Store
 	// Progress, when non-nil, is notified as jobs finish.
 	Progress *Progress
-	// Observer, when non-nil, receives every finished record after it has
-	// been streamed — the telemetry tap (metrics, job timelines). It is
+	// Observer, when non-nil, receives every executed record after it has
+	// been stored — the telemetry tap (metrics, job timelines). It is
 	// called concurrently from worker goroutines and must be safe for
 	// concurrent use. Results are unaffected by the observer.
 	Observer func(Record)
 	// Lookup, when non-nil, is consulted before executing a job: a hit
-	// serves the recorded result without running (or re-streaming) it.
+	// serves the recorded result without running (or re-storing) it.
 	// Hits are reported to Progress as cache hits, not executed jobs, so
-	// a warmed cache does not poison the ETA. Typically backed by
-	// LoadRecords of a previous run's results file.
+	// a warmed cache does not poison the ETA. Typically Store.Get of a
+	// resumed results file.
 	Lookup func(digest string) (Record, bool)
-	// CachedJobs, when positive, tells Progress how many jobs of the
-	// logical batch were already served from a cache before submission
-	// (e.g. resume-skipped specs), so status lines account for them
-	// without counting them in the ETA denominator.
-	CachedJobs int
 	// Ctx, when non-nil, cancels the run: dispatch stops, in-flight
 	// jobs drain (job closures built from it stop at their next poll),
 	// and Run returns an error wrapping ctx.Err(). Records streamed

@@ -108,7 +108,7 @@ func TestPersistentPanicFailsWithJobName(t *testing.T) {
 func TestErrorStopsDispatchButKeepsFinishedRecords(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "res.jsonl")
-	w, err := OpenWriter(path, false)
+	st, err := OpenStore(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,11 @@ func TestErrorStopsDispatchButKeepsFinishedRecords(t *testing.T) {
 			return nil, fmt.Errorf("deliberate")
 		}},
 	}
-	_, err = Run(jobs, Options{Workers: 1, Retries: 0, Stream: w})
+	_, err = Run(jobs, Options{Workers: 1, Retries: 0, Store: st})
 	if err == nil {
 		t.Fatal("want error")
 	}
-	w.Close()
+	st.Close()
 	recs, skipped, err := LoadRecords(path)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestErrorStopsDispatchButKeepsFinishedRecords(t *testing.T) {
 // Run returns that job's own error rather than a cancellation error.
 func TestRunFailFast(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "res.jsonl")
-	w, err := OpenWriter(path, false)
+	st, err := OpenStore(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestRunFailFast(t *testing.T) {
 		{Digest: "boom", Name: "boom", Run: func() (any, error) { return nil, errBoom }},
 		ok("ok1"), ok("ok2"),
 	}
-	_, err = Run(jobs, Options{Workers: 1, Retries: -1, Stream: w,
+	_, err = Run(jobs, Options{Workers: 1, Retries: -1, Store: st,
 		Observer: func(Record) { observed.Add(1) }})
 	if !errors.Is(err, errBoom) || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("want boom's own error, got %v", err)
@@ -164,7 +164,7 @@ func TestRunFailFast(t *testing.T) {
 	if errors.Is(err, context.Canceled) {
 		t.Fatalf("fail-fast must not surface as a cancellation: %v", err)
 	}
-	if err := w.Close(); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	recs, _, err := LoadRecords(path)
@@ -181,16 +181,16 @@ func TestStreamAndResumeRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "res.jsonl")
 
-	w, err := OpenWriter(path, false)
+	st, err := OpenStore(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	jobs := mkJobs(6)
-	out, err := Run(jobs, Options{Workers: 3, Stream: w})
+	out, err := Run(jobs, Options{Workers: 3, Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -230,7 +230,7 @@ func TestStreamAndResumeRoundTrip(t *testing.T) {
 		t.Fatalf("after truncation: %d records, %d skipped", len(recs), skipped)
 	}
 
-	w2, err := OpenWriter(path, true)
+	st2, err := OpenStore(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,10 +240,10 @@ func TestStreamAndResumeRoundTrip(t *testing.T) {
 			remaining = append(remaining, j)
 		}
 	}
-	if _, err := Run(remaining, Options{Workers: 2, Stream: w2}); err != nil {
+	if _, err := Run(remaining, Options{Workers: 2, Store: st2}); err != nil {
 		t.Fatal(err)
 	}
-	w2.Close()
+	st2.Close()
 
 	// The file now holds the partial line plus all six records; a
 	// resumed load must see every payload byte-identical to the

@@ -117,9 +117,6 @@ func newPool(opts Options, failFast bool) *Pool {
 	p.cond = sync.NewCond(&p.mu)
 	if opts.Progress != nil {
 		opts.Progress.begin(0, workers)
-		if opts.CachedJobs > 0 {
-			opts.Progress.jobCached(opts.CachedJobs)
-		}
 	}
 	if opts.Ctx != nil {
 		go func() {
@@ -232,7 +229,7 @@ func (p *Pool) Close() {
 }
 
 // worker pops the highest-priority pending job, executes it with retry
-// and panic isolation, streams the record, and resolves the future.
+// and panic isolation, stores the record, and resolves the future.
 func (p *Pool) worker() {
 	defer p.wg.Done()
 	for {
@@ -257,9 +254,9 @@ func (p *Pool) worker() {
 		}
 
 		rec, err := execute(it.job, p.retries, p.opts.Ctx)
-		if err == nil && p.opts.Stream != nil {
-			if serr := p.opts.Stream.Write(rec); serr != nil {
-				err = fmt.Errorf("harness: streaming %s: %w", it.job.Name, serr)
+		if err == nil && p.opts.Store != nil {
+			if serr := p.opts.Store.put(rec); serr != nil {
+				err = fmt.Errorf("harness: storing %s: %w", it.job.Name, serr)
 			}
 		}
 		if err == nil && p.opts.Observer != nil {

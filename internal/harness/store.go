@@ -11,18 +11,41 @@ import (
 	"sync"
 )
 
-// Writer appends records to a JSONL results file, flushing after every
-// line so a killed process loses at most the record being written.
-type Writer struct {
-	mu sync.Mutex
-	f  *os.File
-	bw *bufio.Writer
+// Store is a digest-keyed results store: an append-only JSONL file plus
+// an in-memory index over it. It backs every results file the project
+// writes — cmd/experiments' -results, cmd/explore's -results, and the
+// daemon's digest store — so resume loading, torn-tail healing and the
+// write-then-index order live here and nowhere else. A Pool with
+// Options.Store puts every executed record into it; Get is the natural
+// Options.Lookup. The file format is the one cmd/regress audits.
+type Store struct {
+	mu      sync.RWMutex // guards recs
+	recs    map[string]Record
+	skipped int
+
+	wmu sync.Mutex // serializes appends; nil f means memory-only
+	f   *os.File
+	bw  *bufio.Writer
 }
 
-// OpenWriter opens path for streaming. With resume true the file is
-// appended to (records already present are preserved); otherwise it is
-// truncated.
-func OpenWriter(path string, resume bool) (*Writer, error) {
+// OpenStore opens the results file at path. With resume true the
+// existing records are loaded into the index (tolerating the torn or
+// over-long lines a killed process leaves — see LoadRecords) and new
+// records are appended after them; otherwise the file is truncated and
+// the index starts empty. An empty path yields a memory-only store that
+// indexes records but writes nothing.
+func OpenStore(path string, resume bool) (*Store, error) {
+	s := &Store{recs: make(map[string]Record)}
+	if path == "" {
+		return s, nil
+	}
+	if resume {
+		recs, skipped, err := LoadRecords(path)
+		if err != nil {
+			return nil, err
+		}
+		s.recs, s.skipped = recs, skipped
+	}
 	flags := os.O_CREATE | os.O_WRONLY
 	if resume {
 		flags |= os.O_APPEND
@@ -47,7 +70,8 @@ func OpenWriter(path string, resume bool) (*Writer, error) {
 			}
 		}
 	}
-	return &Writer{f: f, bw: bufio.NewWriter(f)}, nil
+	s.f, s.bw = f, bufio.NewWriter(f)
+	return s, nil
 }
 
 // endsWithNewline reports whether the file is empty or newline-terminated.
@@ -71,32 +95,65 @@ func endsWithNewline(path string) (bool, error) {
 	return buf[0] == '\n', nil
 }
 
-// Write appends one record and flushes.
-func (w *Writer) Write(rec Record) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, err := w.bw.Write(line); err != nil {
-		return err
-	}
-	if err := w.bw.WriteByte('\n'); err != nil {
-		return err
-	}
-	return w.bw.Flush()
+// Get returns the record indexed under digest, if any.
+func (s *Store) Get(digest string) (Record, bool) {
+	s.mu.RLock()
+	rec, ok := s.recs[digest]
+	s.mu.RUnlock()
+	return rec, ok
 }
 
-// Close flushes and closes the underlying file.
-func (w *Writer) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.bw.Flush(); err != nil {
-		w.f.Close()
+// put appends one record, flushes it, and only then indexes it, so a
+// record Get can serve is already on disk: a crash can lose a record's
+// index entry, never leave an indexed record unwritten. Duplicate
+// digests keep the first indexed record (as LoadRecords does) but every
+// put is appended.
+func (s *Store) put(rec Record) error {
+	if s.f != nil {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			return err
+		}
+		s.wmu.Lock()
+		_, err = s.bw.Write(append(line, '\n'))
+		if err == nil {
+			err = s.bw.Flush()
+		}
+		s.wmu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
+	s.mu.Lock()
+	if _, dup := s.recs[rec.Digest]; !dup {
+		s.recs[rec.Digest] = rec
+	}
+	s.mu.Unlock()
+	return nil
+}
+
+// Len returns the number of indexed records.
+func (s *Store) Len() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.recs)
+}
+
+// Skipped reports how many corrupt lines the resume load tolerated.
+func (s *Store) Skipped() int { return s.skipped }
+
+// Close flushes and closes the backing file (a no-op when memory-only).
+func (s *Store) Close() error {
+	if s.f == nil {
+		return nil
+	}
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if err := s.bw.Flush(); err != nil {
+		s.f.Close()
 		return err
 	}
-	return w.f.Close()
+	return s.f.Close()
 }
 
 // maxLineBytes bounds a single record line on load. No record this

@@ -25,16 +25,16 @@ func testRecord(i int) Record {
 
 func writeRecords(t *testing.T, path string, resume bool, recs ...Record) {
 	t.Helper()
-	w, err := OpenWriter(path, resume)
+	st, err := OpenStore(path, resume)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, rec := range recs {
-		if err := w.Write(rec); err != nil {
+		if err := st.put(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Close(); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -134,7 +134,7 @@ func TestLoadRecordsLineCapBoundary(t *testing.T) {
 }
 
 // Kill/resume round-trip: truncating the stream mid-record (what a kill
-// leaves) must cost exactly the torn record; OpenWriter(resume) heals
+// leaves) must cost exactly the torn record; OpenStore(resume) heals
 // the tail and appended records coexist with the survivors.
 func TestWriterKillResumeRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.jsonl")
@@ -176,11 +176,11 @@ func TestWriterKillResumeRoundTrip(t *testing.T) {
 	}
 }
 
-// Concurrent writers through one Writer must interleave at record
-// granularity: every record intact, nothing skipped.
+// Concurrent puts into one Store must interleave at record granularity:
+// every record intact and indexed, nothing skipped.
 func TestConcurrentWritersCrashConsistency(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.jsonl")
-	w, err := OpenWriter(path, false)
+	st, err := OpenStore(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,15 +191,23 @@ func TestConcurrentWritersCrashConsistency(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if err := w.Write(testRecord(g*perWriter + i)); err != nil {
+				rec := testRecord(g*perWriter + i)
+				if err := st.put(rec); err != nil {
 					t.Error(err)
+					return
+				}
+				if _, ok := st.Get(rec.Digest); !ok {
+					t.Errorf("record %s not served after put returned", rec.Digest)
 					return
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if err := w.Close(); err != nil {
+	if st.Len() != writers*perWriter {
+		t.Fatalf("indexed %d records, want %d", st.Len(), writers*perWriter)
+	}
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	recs, skipped, err := LoadRecords(path)
@@ -208,5 +216,158 @@ func TestConcurrentWritersCrashConsistency(t *testing.T) {
 	}
 	if len(recs) != writers*perWriter || skipped != 0 {
 		t.Fatalf("got %d records, %d skipped; want %d, 0", len(recs), skipped, writers*perWriter)
+	}
+}
+
+// OpenStore without resume truncates the file and starts with an empty
+// index; with resume it indexes what is there and appends after it.
+func TestOpenStoreTruncateVsResume(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	writeRecords(t, path, false, testRecord(1), testRecord(2))
+
+	st, err := OpenStore(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Len() != 2 || st.Skipped() != 0 {
+		t.Fatalf("resumed store: len=%d skipped=%d, want 2/0", st.Len(), st.Skipped())
+	}
+	if rec, ok := st.Get("digest-0002"); !ok || string(rec.Payload) != `{"value":2}` {
+		t.Fatalf("resumed store lost record 2: %+v %v", rec, ok)
+	}
+	if err := st.put(testRecord(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if recs, _, err := LoadRecords(path); err != nil || len(recs) != 3 {
+		t.Fatalf("resume must append: %d records, err %v", len(recs), err)
+	}
+
+	st, err = OpenStore(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Len() != 0 {
+		t.Fatalf("truncating open indexed %d records", st.Len())
+	}
+	if _, ok := st.Get("digest-0001"); ok {
+		t.Fatal("truncating open served an old record")
+	}
+	if err := st.put(testRecord(4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := LoadRecords(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := recs["digest-0004"]; len(recs) != 1 || !ok {
+		t.Fatalf("truncated file holds %d records, want only record 4", len(recs))
+	}
+}
+
+// An empty path gives a memory-only store: it indexes (first digest
+// wins) but owns no file.
+func TestMemoryOnlyStore(t *testing.T) {
+	for _, resume := range []bool{false, true} {
+		st, err := OpenStore("", resume)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, second := testRecord(1), testRecord(1)
+		second.Payload = json.RawMessage(`{"value":"dup"}`)
+		for _, rec := range []Record{first, second} {
+			if err := st.put(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rec, ok := st.Get(first.Digest)
+		if !ok || string(rec.Payload) != string(first.Payload) || st.Len() != 1 {
+			t.Fatalf("resume=%v: got %+v %v len %d, want the first record only", resume, rec, ok, st.Len())
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A torn tail is healed through OpenStore: the fragment counts as one
+// skipped line, and records put afterwards land on their own lines.
+func TestOpenStoreHealsTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	writeRecords(t, path, false, testRecord(1), testRecord(2))
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"digest":"torn","pay`); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := OpenStore(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Len() != 2 || st.Skipped() != 1 {
+		t.Fatalf("torn store: len=%d skipped=%d, want 2/1", st.Len(), st.Skipped())
+	}
+	if err := st.put(testRecord(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, skipped, err := LoadRecords(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := recs["digest-0003"]; len(recs) != 3 || skipped != 1 || !ok {
+		t.Fatalf("after healing: %d records, %d skipped; want 3, 1 with record 3", len(recs), skipped)
+	}
+}
+
+// Get serves a record only once put has returned nil: a failed append
+// leaves it unindexed, and a pool job whose record cannot be stored
+// fails instead of resolving.
+func TestStoreGetOnlyAfterPut(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	st, err := OpenStore(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := testRecord(1)
+	if _, ok := st.Get(rec.Digest); ok {
+		t.Fatal("record served before put")
+	}
+	if err := st.put(rec); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Get(rec.Digest); !ok {
+		t.Fatal("record not served after a successful put")
+	}
+
+	st.f.Close() // every later append fails
+	bad := testRecord(2)
+	if err := st.put(bad); err == nil {
+		t.Fatal("put on a closed file must fail")
+	}
+	if _, ok := st.Get(bad.Digest); ok {
+		t.Fatal("record indexed although its append failed")
+	}
+	p := NewPool(Options{Workers: 1, Store: st})
+	fut := p.Submit(Job{Digest: "digest-0003", Name: "unstorable", Run: func() (any, error) { return 3, nil }})
+	p.Close()
+	if _, err := fut.Wait(); err == nil || !strings.Contains(err.Error(), "storing unstorable") {
+		t.Fatalf("want a storing error, got %v", err)
+	}
+	if _, ok := st.Get("digest-0003"); ok {
+		t.Fatal("pool job indexed although its append failed")
 	}
 }

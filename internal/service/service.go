@@ -67,7 +67,7 @@ type Server struct {
 	cfg      Config
 	reg      *telemetry.Registry
 	now      func() time.Time
-	store    *Store
+	store    *harness.Store
 	pool     *harness.Pool
 	policies *experiments.PolicyStore
 	mux      *http.ServeMux
@@ -88,13 +88,11 @@ type Server struct {
 
 	mSubmissions *telemetry.Counter
 	mSpecs       *telemetry.Counter
-	mExecuted    *telemetry.Counter
 	mCacheHits   *telemetry.Counter
 	mFailed      *telemetry.Counter
 	mRejected    *telemetry.Counter
 	mStored      *telemetry.Gauge
 	mInFlight    *telemetry.Gauge
-	mWallMS      *telemetry.Histogram
 	mZooHits     *telemetry.Gauge
 	mZooStores   *telemetry.Gauge
 }
@@ -145,7 +143,7 @@ func New(cfg Config) (*Server, error) {
 	if now == nil {
 		now = time.Now
 	}
-	store, err := OpenStore(cfg.StorePath)
+	store, err := harness.OpenStore(cfg.StorePath, true)
 	if err != nil {
 		return nil, fmt.Errorf("service: opening result store: %w", err)
 	}
@@ -173,29 +171,27 @@ func New(cfg Config) (*Server, error) {
 
 		mSubmissions: reg.Counter("intellinocd_submissions_total", "Accepted job submissions (batches)."),
 		mSpecs:       reg.Counter("intellinocd_specs_total", "Specs accepted across all submissions."),
-		mExecuted:    reg.Counter("intellinocd_jobs_executed_total", "Simulations actually executed by the pool (cache hits excluded)."),
 		mCacheHits:   reg.Counter("intellinocd_cache_hits_total", "Specs served from the digest store or in-flight dedup instead of re-simulating."),
 		mFailed:      reg.Counter("intellinocd_jobs_failed_total", "Specs whose execution failed."),
 		mRejected:    reg.Counter("intellinocd_rejected_total", "Specs rejected by validation, quota, or rate limit."),
 		mStored:      reg.Gauge("intellinocd_store_records", "Records in the digest result store."),
 		mInFlight:    reg.Gauge("intellinocd_inflight_jobs", "Specs queued or executing right now."),
-		mWallMS: reg.Histogram("intellinocd_job_wall_ms", "Per-executed-job wall time in milliseconds.",
-			[]float64{10, 100, 500, 1000, 5000, 15000, 60000, 300000}),
-		mZooHits:   reg.Gauge("intellinocd_policy_zoo_hits", "Pre-training passes served from the policy zoo by exact spec digest."),
-		mZooStores: reg.Gauge("intellinocd_policy_zoo_stores", "Freshly-trained policies persisted to the policy zoo."),
+		mZooHits:     reg.Gauge("intellinocd_policy_zoo_hits", "Pre-training passes served from the policy zoo by exact spec digest."),
+		mZooStores:   reg.Gauge("intellinocd_policy_zoo_stores", "Freshly-trained policies persisted to the policy zoo."),
 	}
 	s.mStored.Set(float64(store.Len()))
+	// The daemon keeps no job timeline: it is long-lived and must not
+	// hold per-job state.
+	jobs := telemetry.NewJobTap(reg, "intellinocd", "")
 	s.pool = harness.NewPool(harness.Options{
 		Workers: cfg.Workers,
 		Retries: cfg.Retries,
-		Stream:  store.Writer(),
+		Store:   store,
 		Lookup:  store.Get,
-		// The observer runs once per actually-executed record, after it
-		// is on disk — the moment it becomes servable from memory.
+		// The observer runs once per actually-executed record, after the
+		// pool has stored it (on disk, then servable from memory).
 		Observer: func(rec harness.Record) {
-			store.add(rec)
-			s.mExecuted.Inc()
-			s.mWallMS.Observe(rec.WallMS)
+			jobs.Observe(rec)
 			s.mStored.Set(float64(store.Len()))
 			// Any pre-training this record triggered has finished by now.
 			zs := s.policies.Stats()
@@ -223,7 +219,7 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Store exposes the digest store (tests and tooling).
-func (s *Server) Store() *Store { return s.store }
+func (s *Server) Store() *harness.Store { return s.store }
 
 // submitRequest is the POST /v1/jobs body.
 type submitRequest struct {

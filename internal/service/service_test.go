@@ -182,6 +182,26 @@ func TestSubmitCachesAcrossClients(t *testing.T) {
 	}
 }
 
+// TestTenantMetricNamesDistinct pins the injective client-name folding:
+// "ci-a" and "ci_a" used to share one set of tenant counters; each must
+// now count only its own submission.
+func TestTenantMetricNamesDistinct(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	h := s.Handler()
+	for i, client := range []string{"ci-a", "ci_a"} {
+		resp := submit(t, h, client, submitJob{Name: "probe", Spec: testSpec(int64(i+1), 100)})
+		stream(t, h, resp.ID, -1)
+	}
+	for _, name := range []string{
+		"intellinocd_tenant_ci_2da_submitted_total",
+		"intellinocd_tenant_ci_5fa_submitted_total",
+	} {
+		if got := metric(t, h, name); got != 1 {
+			t.Fatalf("%s = %v, want 1", name, got)
+		}
+	}
+}
+
 // TestCoalescedDuplicatesExecuteOnce covers the in-flight dedup branch:
 // the same spec twice in one batch cannot both be store hits (nothing is
 // stored yet), so the second entry must coalesce onto the first's future

@@ -116,26 +116,20 @@ func (t *tenant) release(n int) {
 	t.mu.Unlock()
 }
 
-// metricTenant folds a client name into a valid Prometheus identifier
-// fragment: [a-zA-Z0-9_] pass through, everything else becomes '_'.
+// metricTenant folds a client name into a Prometheus identifier
+// fragment, injectively: letters and digits pass through and every other
+// byte, '_' included, becomes '_' plus two lowercase hex digits. So
+// "ci-a", "ci_a" and "ci.a" get distinct counters, while plain names
+// like "bob" keep their readable metric names.
 func metricTenant(name string) string {
 	out := make([]byte, 0, len(name))
 	for i := 0; i < len(name); i++ {
 		c := name[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_':
+		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' {
 			out = append(out, c)
-		case c >= '0' && c <= '9':
-			if len(out) == 0 {
-				out = append(out, '_')
-			}
-			out = append(out, c)
-		default:
-			out = append(out, '_')
+		} else {
+			out = fmt.Appendf(out, "_%02x", c)
 		}
-	}
-	if len(out) == 0 {
-		return "_"
 	}
 	return string(out)
 }
