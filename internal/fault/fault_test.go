@@ -152,7 +152,7 @@ func TestInjectorZeroRate(t *testing.T) {
 func TestInjectorHighRateBounded(t *testing.T) {
 	in := NewInjector(DefaultTransientModel(0.4), 4)
 	for i := 0; i < 1000; i++ {
-		n := in.SampleAtRate(16, 0.5)
+		n := in.SampleFlit(NewFlitRate(0.5, 16))
 		if n < 0 || n > 16 {
 			t.Fatalf("error count %d out of [0,16]", n)
 		}

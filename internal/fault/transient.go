@@ -108,23 +108,37 @@ func NewInjector(model TransientModel, seed int64) *Injector {
 // Binomial(bits, Re); for the tiny rates involved the exact Poisson
 // inversion below is indistinguishable and branch-free on the hot path.
 func (in *Injector) SampleErrorBits(bits int, tempC, vdd float64, relaxed bool) int {
-	re := in.Model.BitErrorRate(tempC, vdd, relaxed)
-	return in.sampleCount(re, bits)
+	return in.SampleFlit(NewFlitRate(in.Model.BitErrorRate(tempC, vdd, relaxed), bits))
 }
 
-// SampleAtRate draws an error-bit count at an explicit per-bit rate,
-// bypassing the thermal model (used by the Fig. 17b artificial-injection
-// sweep).
-func (in *Injector) SampleAtRate(bits int, re float64) int {
-	return in.sampleCount(re, bits)
+// FlitRate is a per-bit error rate prepared for one flit width: the
+// Poisson mean λ = re·bits of the flit's error count and e^−λ, the
+// threshold of the sampler's Knuth branch. Callers that sample many flits
+// at one rate build it once, which keeps math.Exp off the per-hop path.
+type FlitRate struct {
+	bits         int
+	lambda       float64
+	expNegLambda float64
 }
 
-func (in *Injector) sampleCount(re float64, bits int) int {
+// NewFlitRate prepares the per-bit rate re for flits of the given width.
+// A rate or width <= 0 gives the zero FlitRate, which never injects.
+func NewFlitRate(re float64, bits int) FlitRate {
 	if re <= 0 || bits <= 0 {
+		return FlitRate{}
+	}
+	lambda := re * float64(bits)
+	return FlitRate{bits: bits, lambda: lambda, expNegLambda: math.Exp(-lambda)}
+}
+
+// SampleFlit draws the error-bit count of one flit crossing one link at
+// the prepared rate.
+func (in *Injector) SampleFlit(r FlitRate) int {
+	if r.bits <= 0 {
 		return 0
 	}
 	var n int
-	lambda := re * float64(bits)
+	lambda := r.lambda
 	// Fast path: P(>=1 error) ~= lambda for the rates NoCs see. One
 	// uniform draw rejects the overwhelmingly common zero case.
 	if lambda < 1e-3 {
@@ -141,10 +155,10 @@ func (in *Injector) sampleCount(re float64, bits int) int {
 			}
 		}
 	} else {
-		// Knuth Poisson sampling for the rare hot cases.
-		l := math.Exp(-lambda)
+		// Knuth Poisson sampling. Table 1's base rate on 128-bit flits
+		// already lands here (λ ≈ 5e-3).
 		k, p := 0, 1.0
-		for p > l {
+		for p > r.expNegLambda {
 			k++
 			p *= in.rng.Float64()
 		}
@@ -153,8 +167,8 @@ func (in *Injector) sampleCount(re float64, bits int) int {
 	if n >= 1 {
 		n += in.burstExtension()
 	}
-	if n > bits {
-		n = bits
+	if n > r.bits {
+		n = r.bits
 	}
 	return n
 }

@@ -3,9 +3,7 @@ package noc
 import (
 	"fmt"
 
-	"intellinoc/internal/fault"
 	"intellinoc/internal/power"
-	"intellinoc/internal/thermal"
 )
 
 // Config describes one simulated network. The five techniques of the
@@ -114,11 +112,6 @@ type Config struct {
 	DisableIdleFastForward bool
 
 	Seed int64
-
-	// Model parameter overrides (zero values select the defaults).
-	PowerParams   *power.Params
-	ThermalParams *thermal.Params
-	AgingParams   *fault.AgingParams
 }
 
 // MaxVCs reports the compile-time bound on virtual channels per port,

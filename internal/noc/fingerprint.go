@@ -48,6 +48,7 @@ const (
 	fWear
 	fMeterStatic
 	fMeterDynamic
+	fMeterEvents
 	fLastTJ
 	fThermAct
 	fPktFlitsArrived
@@ -127,6 +128,7 @@ var stateFieldNames = [numStateFields]string{
 	fWear:            "wear",
 	fMeterStatic:     "meterStaticJ",
 	fMeterDynamic:    "meterDynamicJ",
+	fMeterEvents:     "meterEvents",
 	fLastTJ:          "lastTJ",
 	fThermAct:        "thermAct",
 	fPktFlitsArrived: "pkt.flitsArrived",
@@ -348,6 +350,14 @@ func (n *Network) visitState(emit func(f stateField, router, a, b int, v uint64)
 		emit(fWear, id, 2, 0, u64f(n.wear[id].ElapsedSeconds))
 		emit(fMeterStatic, id, 0, 0, u64f(n.meters[id].StaticJoules))
 		emit(fMeterDynamic, id, 0, 0, u64f(n.meters[id].DynamicJoules))
+		ev := &n.meters[id].Events
+		for i, c := range [...]uint64{
+			ev.BufWrites, ev.BufReads, ev.XbarTraverses, ev.LinkHops,
+			ev.ChanStages, ev.CRCChecks, ev.SECDEDEncodes, ev.SECDEDDecodes,
+			ev.DECTEDEncodes, ev.DECTEDDecodes, ev.RLSteps, ev.Wakeups,
+		} {
+			emit(fMeterEvents, id, i, 0, c)
+		}
 		emit(fLastTJ, id, 0, 0, u64f(n.lastTJ[id]))
 		emit(fThermAct, id, 0, 0, n.thermAct[id])
 	}

@@ -151,7 +151,6 @@ type Network struct {
 	grid       *thermal.Grid
 	aging      fault.AgingParams
 	wear       []fault.Wear
-	pparams    power.Params
 	meters     []*power.Meter
 	lastTJ     []float64 // meter joules at last thermal step
 	thermAct   []uint64  // flits forwarded since last thermal step
@@ -166,13 +165,13 @@ type Network struct {
 	lastProgress int64
 	packets      packetTable
 
-	// linkRe / linkReRelaxed cache each router's per-bit link error rate
-	// (normal and relaxed-timing). Temperatures only change at thermal
-	// boundaries, so the exponentials behind these rates are evaluated
-	// once per router per thermal step instead of twice per link
-	// traversal attempt.
-	linkRe        []float64
-	linkReRelaxed []float64
+	// linkRate / linkRateRelaxed cache each router's link error rate
+	// (normal and relaxed-timing), prepared for FlitBits-wide flits.
+	// Temperatures only change at thermal boundaries, so the
+	// exponentials behind these rates are evaluated once per router per
+	// thermal step instead of on every link traversal attempt.
+	linkRate        []fault.FlitRate
+	linkRateRelaxed []fault.FlitRate
 
 	// Free lists recycling the steady-state heap objects: flits (the
 	// dominant allocation — one per flit per packet transmission), and
@@ -232,18 +231,6 @@ func New(cfg Config, gen traffic.Generator, ctrl Controller) (*Network, error) {
 	if ctrl == nil {
 		ctrl = StaticController(ModeSECDED)
 	}
-	pp := power.DefaultParams()
-	if cfg.PowerParams != nil {
-		pp = *cfg.PowerParams
-	}
-	tp := thermal.DefaultParams()
-	if cfg.ThermalParams != nil {
-		tp = *cfg.ThermalParams
-	}
-	ap := fault.DefaultAgingParams()
-	if cfg.AgingParams != nil {
-		ap = *cfg.AgingParams
-	}
 	topo, err := NewTopology(&cfg)
 	if err != nil {
 		return nil, err
@@ -259,10 +246,9 @@ func New(cfg Config, gen traffic.Generator, ctrl Controller) (*Network, error) {
 		injector:   fault.NewInjector(fault.DefaultTransientModel(cfg.BaseErrorRate), cfg.Seed+1),
 		rng:        rand.New(rand.NewSource(cfg.Seed + 2)),
 		payloadRng: rand.New(rand.NewSource(cfg.Seed + 3)),
-		grid:       thermal.NewGridExtra(cfg.Width, cfg.Height, topo.Nodes()-topo.Cores(), tp),
-		aging:      ap,
+		grid:       thermal.NewGridExtra(cfg.Width, cfg.Height, topo.Nodes()-topo.Cores(), thermal.DefaultParams()),
+		aging:      fault.DefaultAgingParams(),
 		wear:       make([]fault.Wear, nodes),
-		pparams:    pp,
 		meters:     make([]*power.Meter, nodes),
 		lastTJ:     make([]float64, nodes),
 		thermAct:   make([]uint64, nodes),
@@ -271,9 +257,9 @@ func New(cfg Config, gen traffic.Generator, ctrl Controller) (*Network, error) {
 		secded:     ecc.NewSECDED(),
 		dected:     ecc.NewDECTED(),
 
-		linkRe:        make([]float64, nodes),
-		linkReRelaxed: make([]float64, nodes),
-		powersBuf:     make([]float64, nodes),
+		linkRate:        make([]fault.FlitRate, nodes),
+		linkRateRelaxed: make([]fault.FlitRate, nodes),
+		powersBuf:       make([]float64, nodes),
 
 		rGated:     make([]bool, nodes),
 		rWaking:    make([]int32, nodes),
@@ -298,6 +284,7 @@ func New(cfg Config, gen traffic.Generator, ctrl Controller) (*Network, error) {
 	}
 	n.buildTopology()
 	n.refreshLinkRates()
+	pp := power.DefaultParams()
 	for i := 0; i < nodes; i++ {
 		n.meters[i] = power.NewMeter(pp, cfg.routerPowerConfig())
 		n.nics[i] = &nic{curVC: -1}
@@ -729,7 +716,7 @@ func (n *Network) triggerWake(r *Router, slot *shardSlot) {
 		n.rWaking[id] = 1
 	}
 	n.emitGate(slot, Event{Cycle: n.cycle, Kind: EvWake, Router: id})
-	n.meters[id].Record(power.EventCounts{Wakeups: 1})
+	n.meters[id].Wakeup()
 }
 
 // flushStatic banks the cycles spent in the router's previous static state
@@ -770,7 +757,7 @@ func (n *Network) deliverChannels(r *Router, cy int64, slot *shardSlot) {
 		n.rBufCount[r.id]++
 		n.portOcc[base+p]++
 		ip.winFlitsIn++
-		n.meters[r.id].Record(power.EventCounts{BufWrites: 1})
+		n.meters[r.id].BufWrite()
 		if slot == nil {
 			n.bufferedFlits++
 			n.emitFlit(cy, EvDeliver, r.id, f)
@@ -888,7 +875,7 @@ func (n *Network) arbitrateOutput(r *Router, op *outputPort, cy int64, inputUsed
 				pi.path = append(pi.path, uint16(r.id))
 			}
 		}
-		n.meters[r.id].Record(power.EventCounts{BufReads: 1, XbarTraverses: 1})
+		n.meters[r.id].Switch()
 		// The freed channel+buffer slot's credit returns upstream.
 		if ip.upCredits != nil {
 			ip.upCredits[vc]++
@@ -1070,7 +1057,11 @@ func (n *Network) tryBypassPort(r *Router, p int, cy int64) bool {
 	if p == PortLocal && r.in[p].ch == nil {
 		var ok bool
 		f, ok = n.peekNICFlit(r, n.nics[r.id], cy)
-		if !ok || !n.bypassCanForward(r, p, f) {
+		if !ok {
+			return false
+		}
+		if !n.bypassCanForward(r, p, f) {
+			n.recycleFlit(f) // the next peek makes a fresh one
 			return false
 		}
 		fromNIC = true
@@ -1159,14 +1150,7 @@ func (n *Network) sendOnLink(r *Router, op *outputPort, f *Flit, cy int64) {
 		latency += 2
 	}
 
-	ev := power.EventCounts{LinkHops: 1, ChanStages: uint64(n.cfg.ChannelStages)}
-	switch scheme {
-	case ecc.SchemeSECDED:
-		ev.SECDEDEncodes, ev.SECDEDDecodes = 1, 1
-	case ecc.SchemeDECTED:
-		ev.DECTEDEncodes, ev.DECTEDDecodes = 1, 1
-	}
-
+	hops := uint64(1)
 	readyAt := cy + latency
 	// Fault injection and resolution. Hop-level retransmission re-sends
 	// from the MFAC (or router) retransmission buffer until the flit
@@ -1189,18 +1173,9 @@ func (n *Network) sendOnLink(r *Router, op *outputPort, f *Flit, cy int64) {
 		n.hopRetransmits++
 		r.winHopRetrans++
 		n.emitFlit(cy, EvHopRetransmit, r.id, f)
-		ev.LinkHops++
-		ev.ChanStages += uint64(n.cfg.ChannelStages)
-		switch scheme {
-		case ecc.SchemeSECDED:
-			ev.SECDEDEncodes++
-			ev.SECDEDDecodes++
-		case ecc.SchemeDECTED:
-			ev.DECTEDEncodes++
-			ev.DECTEDDecodes++
-		}
+		hops++
 	}
-	n.meters[r.id].Record(ev)
+	n.meters[r.id].Link(hops, uint64(n.cfg.ChannelStages), scheme)
 	n.thermAct[r.id]++
 	op.winFlitsOut++
 	// Under sharded stepping the push is staged per destination shard and
@@ -1217,15 +1192,14 @@ func (n *Network) sendOnLink(r *Router, op *outputPort, f *Flit, cy int64) {
 }
 
 // sampleLinkErrors draws the error-bit count for one link traversal. The
-// per-bit rate comes from the per-router cache refreshed at thermal-step
+// rate comes from the per-router cache refreshed at thermal-step
 // boundaries (temperatures cannot change in between), so the hot path is
-// one table lookup instead of two exponentials per attempt.
+// one table lookup instead of three exponentials per attempt.
 func (n *Network) sampleLinkErrors(r *Router, relaxed bool) int {
-	re := n.linkRe[r.id]
 	if relaxed {
-		re = n.linkReRelaxed[r.id]
+		return n.injector.SampleFlit(n.linkRateRelaxed[r.id])
 	}
-	return n.injector.SampleAtRate(n.cfg.FlitBits, re)
+	return n.injector.SampleFlit(n.linkRate[r.id])
 }
 
 // refreshLinkRates recomputes the cached per-router link error rates from
@@ -1233,16 +1207,20 @@ func (n *Network) sampleLinkErrors(r *Router, relaxed bool) int {
 // construction and after every thermal step — the only points where the
 // inputs to the transient-fault model change.
 func (n *Network) refreshLinkRates() {
+	bits := n.cfg.FlitBits
 	if n.cfg.ForcedErrorRate > 0 {
 		re := n.cfg.ForcedErrorRate
-		relaxed := re * n.injector.Model.RelaxFactor
-		for i := range n.linkRe {
-			n.linkRe[i], n.linkReRelaxed[i] = re, relaxed
+		rate := fault.NewFlitRate(re, bits)
+		relaxed := fault.NewFlitRate(re*n.injector.Model.RelaxFactor, bits)
+		for i := range n.linkRate {
+			n.linkRate[i], n.linkRateRelaxed[i] = rate, relaxed
 		}
 		return
 	}
-	for i := range n.linkRe {
-		n.linkRe[i], n.linkReRelaxed[i] = n.injector.Model.BitErrorRates(n.grid.Temp(i), 1.0)
+	for i := range n.linkRate {
+		re, relaxed := n.injector.Model.BitErrorRates(n.grid.Temp(i), 1.0)
+		n.linkRate[i] = fault.NewFlitRate(re, bits)
+		n.linkRateRelaxed[i] = fault.NewFlitRate(relaxed, bits)
 	}
 }
 
@@ -1327,11 +1305,11 @@ func (n *Network) verifyWithCodec(f *Flit, scheme ecc.Scheme, capab ecc.Capabili
 func (n *Network) CodecDisagreements() uint64 { return n.codecDisagree }
 
 // eject delivers a flit to the destination NIC. The flit itself returns
-// to the free-list here — ejection is the only place flits die.
+// to the free-list here — the only place a consumed flit dies.
 func (n *Network) eject(r *Router, f *Flit, cy int64) {
 	n.flitsDelivered++
 	n.emitFlit(cy, EvEject, r.id, f)
-	n.meters[r.id].Record(power.EventCounts{CRCChecks: 1})
+	n.meters[r.id].CRC()
 	pi := n.packets.get(f.PacketID)
 	pid, corrupt, seq := f.PacketID, f.Corrupt, f.Seq
 	n.recycleFlit(f)
@@ -1407,7 +1385,8 @@ func (n *Network) eject(r *Router, f *Flit, cy int64) {
 }
 
 // peekNICFlit exposes (without consuming) the next flit the NIC wants to
-// inject, materializing it lazily.
+// inject, materializing it on every call: a caller that refuses the flit
+// recycles it.
 func (n *Network) peekNICFlit(r *Router, q *nic, cy int64) (*Flit, bool) {
 	if q.cur == nil {
 		if len(q.queue) == 0 {
@@ -1465,7 +1444,7 @@ func (n *Network) peekNICFlit(r *Router, q *nic, cy int64) (*Flit, bool) {
 
 // consumeNICFlit commits the flit returned by peekNICFlit.
 func (n *Network) consumeNICFlit(r *Router, q *nic) {
-	n.meters[r.id].Record(power.EventCounts{CRCChecks: 1}) // injection-port CRC encode
+	n.meters[r.id].CRC() // injection-port CRC encode
 	q.nextIdx++
 	if q.nextIdx >= q.cur.flits {
 		q.cur = nil
@@ -1512,8 +1491,8 @@ func (n *Network) makeFlit(job *packetJob, idx, vc int) *Flit {
 	return f
 }
 
-// recycleFlit returns an ejected flit to the free-list. Callers must not
-// touch the flit afterwards.
+// recycleFlit returns an ejected flit, or a peeked NIC flit the router
+// refused, to the free-list. Callers must not touch the flit afterwards.
 func (n *Network) recycleFlit(f *Flit) {
 	n.flitPool = append(n.flitPool, f)
 }
@@ -1565,6 +1544,7 @@ func (n *Network) injectStep(r *Router, q *nic, cy int64) {
 	}
 	ivc := &r.in[PortLocal].vcs[f.VC]
 	if len(ivc.buf) >= n.cfg.BufDepth {
+		n.recycleFlit(f) // the next peek makes a fresh one
 		return
 	}
 	n.consumeNICFlit(r, q)
@@ -1574,7 +1554,7 @@ func (n *Network) injectStep(r *Router, q *nic, cy int64) {
 	n.portOcc[r.id*NumPorts+PortLocal]++
 	n.bufferedFlits++
 	r.in[PortLocal].winFlitsIn++
-	n.meters[r.id].Record(power.EventCounts{BufWrites: 1})
+	n.meters[r.id].BufWrite()
 	n.emitFlit(cy, EvInject, r.id, f)
 	n.lastProgress = cy
 }
@@ -1640,7 +1620,7 @@ func (n *Network) controlStep() {
 		windowMode := r.mode
 		mode := n.ctrl.NextMode(obs)
 		if n.cfg.RLTable {
-			n.meters[i].Record(power.EventCounts{RLSteps: 1})
+			n.meters[i].RLStep()
 		}
 		n.applyMode(r, mode)
 		if n.bufCtrl != nil {
@@ -1649,7 +1629,7 @@ func (n *Network) controlStep() {
 				if n.cfg.RLTable {
 					// The buffer agent is a second Q-table lookup+update
 					// per window (RACE runs its own table).
-					n.meters[i].Record(power.EventCounts{RLSteps: 1})
+					n.meters[i].RLStep()
 				}
 			}
 		}

@@ -7,11 +7,10 @@ import (
 	"intellinoc/internal/traffic"
 )
 
-// steadyNetwork builds an 8×8 baseline mesh under sustained uniform load
-// for the steady-state performance tests.
-func steadyNetwork(t testing.TB, seed int64) *Network {
+// steadyNetwork builds an 8×8 mesh of cfg's routers under sustained
+// uniform load for the steady-state performance tests.
+func steadyNetwork(t testing.TB, cfg Config, seed int64) *Network {
 	t.Helper()
-	cfg := testConfig()
 	cfg.Width, cfg.Height = 8, 8
 	gen, err := traffic.NewSynthetic(traffic.SyntheticConfig{
 		Width: 8, Height: 8, Pattern: traffic.Uniform,
@@ -31,34 +30,47 @@ func steadyNetwork(t testing.TB, seed int64) *Network {
 // the pools are warm, stepping the network must allocate (amortized)
 // almost nothing — a regression here means a pooled object leaked back to
 // the garbage collector.
+//
+// The channel-buffered case (BufDepth 2) is the one whose NIC injection
+// blocks on a full local VC most often, so it covers the refused-peek path.
 func TestSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is slow")
 	}
-	n := steadyNetwork(t, 1)
-	// Warm-up: populate the pools and let every buffer/queue reach its
-	// steady-state capacity.
-	for i := 0; i < 20_000; i++ {
-		n.Step()
-	}
-	const span = 5000
-	before := n.FlitsDelivered()
-	allocs := testing.AllocsPerRun(5, func() {
-		for i := 0; i < span; i++ {
-			n.Step()
-		}
-	})
-	delivered := n.FlitsDelivered() - before
-	if delivered == 0 {
-		t.Fatal("no traffic delivered during measurement span")
-	}
-	perCycle := allocs / span
-	// The budget is deliberately loose (amortized queue growth, map-free
-	// but not literally zero); the pre-pooling simulator spent ~47 allocs
-	// per cycle here.
-	if perCycle > 0.5 {
-		t.Fatalf("steady state allocates %.2f objects/cycle (%.0f over %d cycles); pooling regressed",
-			perCycle, allocs, span)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"baseline", testConfig()},
+		{"channel-buffered", channelConfig()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := steadyNetwork(t, tc.cfg, 1)
+			// Warm-up: populate the pools and let every buffer/queue
+			// reach its steady-state capacity.
+			for i := 0; i < 20_000; i++ {
+				n.Step()
+			}
+			const span = 5000
+			before := n.FlitsDelivered()
+			allocs := testing.AllocsPerRun(5, func() {
+				for i := 0; i < span; i++ {
+					n.Step()
+				}
+			})
+			delivered := n.FlitsDelivered() - before
+			if delivered == 0 {
+				t.Fatal("no traffic delivered during measurement span")
+			}
+			perCycle := allocs / span
+			// The budget is deliberately loose (amortized queue growth,
+			// map-free but not literally zero); the pre-pooling
+			// simulator spent ~47 allocs per cycle here.
+			if perCycle > 0.5 {
+				t.Fatalf("steady state allocates %.2f objects/cycle (%.0f over %d cycles); pooling regressed",
+					perCycle, allocs, span)
+			}
+		})
 	}
 }
 
@@ -66,7 +78,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 // networks built from the same seed must produce byte-identical Results.
 func TestSeededDeterminism(t *testing.T) {
 	run := func() Result {
-		n := steadyNetwork(t, 42)
+		n := steadyNetwork(t, testConfig(), 42)
 		for n.Cycle() < 30_000 {
 			n.Step()
 		}

@@ -86,6 +86,26 @@ func diffStates(t *testing.T, a, b *Network) {
 	t.Fatalf("cycle %d: record counts differ: %d vs %d", a.Cycle(), len(ra), len(rb))
 }
 
+// TestFingerprintCoversMeterEvents moves one event from one counter to
+// another without touching the joules, as a recorder bumping the wrong
+// counter would: the fingerprint must change.
+func TestFingerprintCoversMeterEvents(t *testing.T) {
+	n := steadyNetwork(t, testConfig(), 1)
+	for i := 0; i < 500; i++ {
+		n.Step()
+	}
+	base := n.Fingerprint()
+	ev := &n.meters[5].Events
+	if ev.LinkHops == 0 {
+		t.Fatal("router 5 sent no flits")
+	}
+	ev.LinkHops--
+	ev.XbarTraverses++
+	if n.Fingerprint() == base {
+		t.Fatal("fingerprint ignores the meter event counters")
+	}
+}
+
 // TestShardedLockstepFingerprint is the tentpole's bit-identity gate: a
 // sequential network and a sharded one built from the same seed must
 // agree on every fingerprinted state word at every step boundary, run

@@ -160,22 +160,6 @@ type EventCounts struct {
 	Wakeups       uint64
 }
 
-// Add accumulates o into c.
-func (c *EventCounts) Add(o EventCounts) {
-	c.BufWrites += o.BufWrites
-	c.BufReads += o.BufReads
-	c.XbarTraverses += o.XbarTraverses
-	c.LinkHops += o.LinkHops
-	c.ChanStages += o.ChanStages
-	c.CRCChecks += o.CRCChecks
-	c.SECDEDEncodes += o.SECDEDEncodes
-	c.SECDEDDecodes += o.SECDEDDecodes
-	c.DECTEDEncodes += o.DECTEDEncodes
-	c.DECTEDDecodes += o.DECTEDDecodes
-	c.RLSteps += o.RLSteps
-	c.Wakeups += o.Wakeups
-}
-
 // DynamicEnergy converts event counts to joules for a router whose per-VC
 // buffer depth is slotsPerVC.
 func (p Params) DynamicEnergy(c EventCounts, slotsPerVC int) float64 {
@@ -205,6 +189,18 @@ func (p *Params) dynamicEnergy(c *EventCounts, slotsPerVC int, elastic bool) flo
 }
 
 // Meter integrates a router's static and dynamic energy over a run.
+//
+// Dynamic energy is recorded through one typed recorder per event kind
+// the simulator produces (BufWrite, Switch, Link, CRC, Wakeup, RLStep).
+// Each bumps only its own Events counters and adds its energy to
+// DynamicJoules with a single +=. That is bit-identical to summing all
+// twelve count×energy terms of an EventCounts in field order and adding
+// the sum, because every per-event energy is finite and >= 0: a
+// zero-count term is +0, the partial sums are never -0, and x + (+0) == x
+// for every such x. What remains are the nonzero terms in the same
+// left-to-right order, added at the same points of the tick. (The
+// argument assumes the compiler does not fuse a multiply into the
+// following add; amd64 builds at the default GOAMD64=v1 never do.)
 type Meter struct {
 	params        Params
 	cfg           RouterConfig
@@ -213,11 +209,10 @@ type Meter struct {
 	Events        EventCounts
 
 	// Per-event energies fixed by the router structure, precomputed so
-	// Record doesn't re-derive them on every call. The values are the
-	// exact same float64s the formulas produce, so results are
-	// bit-identical to recomputing inline.
+	// the recorders don't re-derive them on every call. The values are
+	// the exact same float64s the formulas produce.
 	eBufWrite  float64
-	eBufRead   float64
+	eSwitch    float64 // buffer read + crossbar traversal
 	eChanStage float64
 }
 
@@ -225,7 +220,7 @@ type Meter struct {
 func NewMeter(params Params, cfg RouterConfig) *Meter {
 	m := &Meter{params: params, cfg: cfg}
 	m.eBufWrite = params.BufWriteEnergy(cfg.SlotsPerVC)
-	m.eBufRead = params.BufReadEnergy(cfg.SlotsPerVC)
+	m.eSwitch = params.BufReadEnergy(cfg.SlotsPerVC) + params.EXbar
 	m.eChanStage = params.EChanStage
 	if cfg.ElasticChannel {
 		m.eChanStage *= 2.5
@@ -240,22 +235,61 @@ func (m *Meter) TickStatic(cycles uint64, scheme ecc.Scheme, gated bool) {
 	m.StaticJoules += watts * float64(cycles) / ClockHz
 }
 
-// Record adds dynamic events.
-func (m *Meter) Record(c EventCounts) {
-	m.Events.Add(c)
+// BufWrite records one flit written into a router buffer.
+func (m *Meter) BufWrite() {
+	m.Events.BufWrites++
+	m.DynamicJoules += m.eBufWrite
+}
+
+// Switch records one flit read from a router buffer and sent through
+// the crossbar.
+func (m *Meter) Switch() {
+	m.Events.BufReads++
+	m.Events.XbarTraverses++
+	m.DynamicJoules += m.eSwitch
+}
+
+// Link records one flit's link traversal: hops wire traversals (the
+// first attempt plus every hop-level retransmission), each through
+// stages channel-buffer stages, with the per-hop encode and decode of
+// scheme's block code (SECDED or DECTED; CRC and none have none).
+func (m *Meter) Link(hops, stages uint64, scheme ecc.Scheme) {
 	p := &m.params
-	m.DynamicJoules += float64(c.BufWrites)*m.eBufWrite +
-		float64(c.BufReads)*m.eBufRead +
-		float64(c.XbarTraverses)*p.EXbar +
-		float64(c.LinkHops)*p.ELinkHop +
-		float64(c.ChanStages)*m.eChanStage +
-		float64(c.CRCChecks)*p.ECRCCheck +
-		float64(c.SECDEDEncodes)*p.ESECDEDEnc +
-		float64(c.SECDEDDecodes)*p.ESECDEDDec +
-		float64(c.DECTEDEncodes)*p.EDECTEDEnc +
-		float64(c.DECTEDDecodes)*p.EDECTEDDec +
-		float64(c.RLSteps)*p.ERLStep +
-		float64(c.Wakeups)*p.EWakeup
+	h := float64(hops)
+	m.Events.LinkHops += hops
+	m.Events.ChanStages += hops * stages
+	// Add the terms one at a time, left to right (not e += a + b): the
+	// exactness argument in the Meter doc needs the chain's order.
+	e := h*p.ELinkHop + float64(hops*stages)*m.eChanStage
+	switch scheme {
+	case ecc.SchemeSECDED:
+		m.Events.SECDEDEncodes += hops
+		m.Events.SECDEDDecodes += hops
+		e = e + h*p.ESECDEDEnc + h*p.ESECDEDDec
+	case ecc.SchemeDECTED:
+		m.Events.DECTEDEncodes += hops
+		m.Events.DECTEDDecodes += hops
+		e = e + h*p.EDECTEDEnc + h*p.EDECTEDDec
+	}
+	m.DynamicJoules += e
+}
+
+// CRC records one CRC encode or check at an injection or ejection port.
+func (m *Meter) CRC() {
+	m.Events.CRCChecks++
+	m.DynamicJoules += m.params.ECRCCheck
+}
+
+// Wakeup records one power-gating wake-up.
+func (m *Meter) Wakeup() {
+	m.Events.Wakeups++
+	m.DynamicJoules += m.params.EWakeup
+}
+
+// RLStep records one Q-table lookup and update.
+func (m *Meter) RLStep() {
+	m.Events.RLSteps++
+	m.DynamicJoules += m.params.ERLStep
 }
 
 // TotalJoules returns static + dynamic energy so far.

@@ -58,8 +58,7 @@ func TestDynamicEnergyLinear(t *testing.T) {
 	p := DefaultParams()
 	c := EventCounts{BufWrites: 10, BufReads: 10, XbarTraverses: 5, LinkHops: 20, ChanStages: 40, CRCChecks: 2}
 	e1 := p.DynamicEnergy(c, 4)
-	double := c
-	double.Add(c)
+	double := EventCounts{BufWrites: 20, BufReads: 20, XbarTraverses: 10, LinkHops: 40, ChanStages: 80, CRCChecks: 4}
 	if math.Abs(p.DynamicEnergy(double, 4)-2*e1) > 1e-24 {
 		t.Fatal("dynamic energy must be linear in counts")
 	}
@@ -117,9 +116,14 @@ func TestMeterIntegration(t *testing.T) {
 	if math.Abs(m.StaticJoules-wantStatic) > 1e-9 {
 		t.Fatalf("1s of leakage = %g J, want %g", m.StaticJoules, wantStatic)
 	}
-	m.Record(EventCounts{XbarTraverses: 1000})
+	for i := 0; i < 1000; i++ {
+		m.Switch()
+	}
 	if m.DynamicJoules <= 0 || m.TotalJoules() <= m.StaticJoules {
 		t.Fatal("dynamic energy not integrated")
+	}
+	if m.Events.XbarTraverses != 1000 || m.Events.BufReads != 1000 {
+		t.Fatalf("Switch events = %+v, want 1000 buffer reads and crossbar traversals", m.Events)
 	}
 	if mp := m.MeanPower(2_000_000_000); math.Abs(mp-m.TotalJoules()) > 1e-12 {
 		t.Fatalf("mean power over 1s should equal joules, got %g", mp)
