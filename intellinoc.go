@@ -108,7 +108,7 @@ func WithObserver(o Observer) Option { return core.WithObserver(o) }
 
 // WithShards steps the mesh with n parallel shards. Results are
 // bit-identical at any shard count — the knob trades goroutines for
-// wall-clock only; 0 or 1 selects the sequential stepper.
+// wall-clock only; 0 or 1 means one shard, with no worker goroutines.
 func WithShards(n int) Option { return core.WithShards(n) }
 
 // Simulate runs one technique over one workload. It replaces the

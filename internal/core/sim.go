@@ -67,7 +67,8 @@ type SimConfig struct {
 	BufDepthOverride int `json:"buf_depth_override,omitempty"`
 
 	// Shards steps each network with this many parallel shards (see
-	// noc.Config.Shards); 0 or 1 is the sequential stepper. Results are
+	// noc.Config.Shards); 0 or 1 means one shard, with no worker
+	// goroutines. Results are
 	// bit-identical at any shard count, which is why the field is
 	// excluded from JSON: experiment-spec digests, golden results, and
 	// harness dedup must not distinguish runs by execution strategy.

@@ -64,7 +64,8 @@ func WithInstrument(fn func(*noc.Network, noc.Controller)) RunOption {
 
 // WithShards steps the mesh with n parallel shards (see
 // noc.Config.Shards). Results are bit-identical at any shard count; 0
-// or 1 selects the sequential stepper. Overrides SimConfig.Shards.
+// or 1 means one shard, with no worker goroutines. Overrides
+// SimConfig.Shards.
 func WithShards(n int) RunOption {
 	return func(o *runOptions) { o.shards = n; o.hasShards = true }
 }

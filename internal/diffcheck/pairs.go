@@ -77,10 +77,9 @@ func checkFF(seed int64) *Finding {
 	return lockstep("ff", sc, a, b)
 }
 
-// checkShards verifies the sharded stepper's headline claim: a mesh
-// stepped by the worker pool (noc.Config.Shards > 1) must match the
-// sequential stepper on every fingerprinted state word at every step
-// boundary — commit ordering, PRNG draw order, and FP accumulation
+// checkShards verifies the shard pool's headline claim: a mesh stepped
+// by the worker pool (noc.Config.Shards > 1) must match the one-shard
+// tick on every fingerprinted state word at every step boundary — commit ordering, PRNG draw order, and FP accumulation
 // included. The shard count is derived from the seed so the campaign
 // covers uneven router/shard splits as well as the CI-gated count of 4.
 func checkShards(seed int64) *Finding {

@@ -68,8 +68,9 @@ func BenchmarkNetworkCycleChannelBuffered(b *testing.B) {
 // is the simulation rate and allocs/cycle the steady-state heap traffic,
 // which the CI scaling gate requires to be zero. A warmup phase fills the
 // flit/job pools before the timer starts so the measurement is steady
-// state, and /shards1 is the sequential baseline the sharded variants are
-// gated against (>=2.5x at shards=8 on 32x32 on a 4-vCPU runner).
+// state, and /shards1 (one shard, no worker goroutines) is the baseline
+// the multi-shard variants are gated against (>=2.5x at shards=8 on
+// 32x32 on a 4-vCPU runner).
 func BenchmarkNetworkCycleSharded(b *testing.B) {
 	for _, mesh := range []int{16, 32, 64} {
 		mesh := mesh
@@ -78,9 +79,7 @@ func BenchmarkNetworkCycleSharded(b *testing.B) {
 				b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
 					cfg := testConfig()
 					cfg.Width, cfg.Height = mesh, mesh
-					if shards > 1 {
-						cfg.Shards = shards
-					}
+					cfg.Shards = shards
 					// Uniform traffic saturates a k-wide mesh near 4/k
 					// flits/node/cycle (bisection bound); inject at ~40%
 					// of that so queues — and the pools behind them —

@@ -93,15 +93,16 @@ type Config struct {
 	// ECC codecs on every hop. Slower; used by tests and examples.
 	VerifyPayloads bool
 
-	// Shards > 1 steps the network with a bounded worker pool: each shard
-	// (a contiguous router-id range that ignores topology geometry, with
-	// its routers' channels and NICs) scans its routers in parallel, and
-	// the cross-router commits run in router-index order at a per-cycle
-	// barrier (see shard.go). Results, fingerprints, and event streams are
-	// bit-identical to the sequential path at any shard count — the knob
-	// trades goroutines for wall-clock only. 0 or 1 selects the plain
-	// sequential stepper. A sharded Network owns worker goroutines; call
-	// Close when done with it.
+	// Shards is the number of shards the tick runs its per-router phases
+	// over: contiguous router-id ranges that ignore topology geometry,
+	// each with its routers' channels and NICs. With more than one, a
+	// bounded worker pool scans the shards in parallel and the
+	// cross-router commits run in router-index order at a per-cycle
+	// barrier (see shard.go). 0 or 1 means one shard, run inline with no
+	// worker goroutines. Results, fingerprints, and event streams are
+	// bit-identical at any shard count — the knob trades goroutines for
+	// wall-clock only. A Network with more than one shard owns worker
+	// goroutines; call Close when done with it.
 	Shards int
 
 	// DisableIdleFastForward forces the simulator to step quiescent

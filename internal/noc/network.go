@@ -185,19 +185,19 @@ type Network struct {
 	// arms the idle fast-forward.
 	bufferedFlits int
 
-	// shardCount > 0 selects the sharded two-phase stepper (see shard.go);
-	// pool holds its lazily started worker goroutines.
+	// shardCount (at least 1) is the number of router-id ranges the tick
+	// runs its per-router phases over (see shard.go); pool holds the
+	// lazily started shard state and, for more than one shard, its
+	// worker goroutines.
 	shardCount int
 	pool       *shardPool
 
 	// rcDraws banks one control-fault PRNG draw per qualifying (router,
 	// port, VC) slot for the current tick, filled by the coordinator in
 	// router order so the parallel VA+RC phase can consume the stream
-	// without reordering it; rcPredrawn marks the bank valid. Flat
-	// layout: (id*NumPorts+p)*cfg.VCs+v. Sequential stepping never banks
-	// (rcStage draws inline).
-	rcDraws    []float64
-	rcPredrawn bool
+	// without reordering it. Flat layout: (id*NumPorts+p)*cfg.VCs+v. Only
+	// multi-shard ticks bank; one shard's rcStage draws inline.
+	rcDraws []float64
 
 	powersBuf []float64 // thermalStep scratch
 
@@ -274,14 +274,10 @@ func New(cfg Config, gen traffic.Generator, ctrl Controller) (*Network, error) {
 	if bc, ok := ctrl.(BufferController); ok {
 		n.bufCtrl = bc
 	}
-	if cfg.Shards > 1 {
-		// Shards partition the dense router-id space into contiguous
-		// ranges (geometry-free — see shard.go); more shards than nodes
-		// would leave workers with nothing to scan.
-		if sc := min(cfg.Shards, nodes); sc > 1 {
-			n.shardCount = sc
-		}
-	}
+	// Shards partition the dense router-id space into contiguous ranges
+	// (geometry-free — see shard.go); more shards than nodes would leave
+	// workers with nothing to scan.
+	n.shardCount = max(1, min(cfg.Shards, nodes))
 	n.buildTopology()
 	n.refreshLinkRates()
 	pp := power.DefaultParams()
@@ -394,12 +390,15 @@ func (n *Network) FlitsDelivered() uint64 { return n.flitsDelivered }
 func (n *Network) Step() { n.step(1 << 62) }
 
 // step is Step bounded so the fast-forward never jumps past maxCycles
-// (RunUntilDrained's truncation point).
+// (RunUntilDrained's truncation point). It is the only tick, at every
+// shard count: the per-router phases run through the shard pool (inline
+// for one shard), and their cross-router side effects commit in router
+// order after each phase (see shard.go).
 func (n *Network) step(maxCycles int64) {
-	if n.shardCount > 0 {
-		n.stepSharded(maxCycles)
-		return
+	if n.pool == nil || n.pool.closed.Load() {
+		n.pool = newShardPool(n, n.shardCount)
 	}
+	sp := n.pool
 	cy := n.cycle
 
 	// 0. Idle fast-forward: with no buffered flits anywhere, the network
@@ -421,57 +420,88 @@ func (n *Network) step(maxCycles int64) {
 	// 1. Admit workload packets due this cycle into the NIC queues.
 	n.admitStep(cy)
 
-	// 2. Power-state maintenance. Without power gating or bypass no
-	// router can ever gate or wake, so the whole pass is a no-op.
-	if n.cfg.PowerGating || n.cfg.Bypass {
-		for _, r := range n.routers {
-			n.powerStateStep(r, cy, nil)
+	// 2+3. Power-state maintenance, then channel deliveries into active
+	// routers' buffers. Commit the counter deltas and flush the buffered
+	// events in shard (= router) order: all gate/wake events first, then
+	// all deliveries.
+	sp.runPhase(phasePowerDeliver, cy)
+	for _, slot := range sp.slots {
+		n.bufferedFlits += slot.buffered
+		slot.buffered = 0
+		if slot.progress {
+			n.lastProgress = cy
+			slot.progress = false
 		}
 	}
-
-	// 3. Channel deliveries into router buffers (active routers). A
-	// mode-0 router keeps its pipeline fully operational until its
-	// buffers happen to drain — refusing deliveries to force a drain
-	// would let two adjacent mode-0 routers deadlock waiting on each
-	// other's credits.
-	for id, r := range n.routers {
-		if n.active(id) {
-			n.deliverChannels(r, cy, nil)
+	if n.eventHook != nil {
+		for _, slot := range sp.slots {
+			for i := range slot.gateEvents {
+				n.eventHook(slot.gateEvents[i])
+			}
+			slot.gateEvents = slot.gateEvents[:0]
+		}
+		for _, slot := range sp.slots {
+			for i := range slot.deliverEvents {
+				n.eventHook(slot.deliverEvents[i])
+			}
+			slot.deliverEvents = slot.deliverEvents[:0]
 		}
 	}
 
 	// 4. Router pipelines (or bypass switches). A router whose input
 	// buffers are empty has nothing for RC/VA/SA to do — skip its
 	// port×VC scans outright.
-	for id, r := range n.routers {
-		switch {
-		case n.rGated[id] && n.cfg.Bypass:
-			n.bypassStep(r, cy)
-		case n.active(id) && n.rBufCount[id] > 0:
-			n.saStage(r, cy)
-			n.vaStage(r, cy)
-			n.rcStage(r, cy, nil)
+	if n.shardCount == 1 {
+		// Fused: sa;va;rc per router in router order, touching each
+		// router's VC state once.
+		slot := sp.slots[0]
+		for id, r := range n.routers {
+			switch {
+			case n.rGated[id] && n.cfg.Bypass:
+				n.bypassStep(r, cy)
+			case n.active(id) && n.rBufCount[id] > 0:
+				n.saStage(r, cy)
+				n.vaStage(r, cy)
+				n.rcStage(r, cy, slot)
+			}
 		}
+	} else {
+		// 4a. Parallel switch-allocation request-mask build.
+		sp.runPhase(phaseSABuild, cy)
+		// 4b. Ordered commit: bypass switches and switch arbitration with
+		// traversal/ejection, in router-index order. This is where the
+		// same-cycle credit chain, the link-fault PRNG draws, and the
+		// power meter accumulation happen, all in the fused order.
+		for id, r := range n.routers {
+			switch {
+			case n.rGated[id] && n.cfg.Bypass:
+				n.bypassStep(r, cy)
+			case sp.hasReq[id]:
+				sp.hasReq[id] = false
+				n.saCommit(r, cy, &sp.req[id])
+			}
+		}
+		// 4c. VA + RC, fanned out, on control-fault draws banked in
+		// router order (see predrawControlFaults).
+		if n.cfg.ControlFaultRate > 0 {
+			n.predrawControlFaults()
+		}
+		sp.runPhase(phaseVARC, cy)
+	}
+	for _, slot := range sp.slots {
+		n.controlFaults += slot.controlFaults
+		slot.controlFaults = 0
 	}
 
 	// 5. NIC injection into active routers (gated mode-0 routers
 	// inject through the bypass switch instead).
 	n.injectPhase(cy)
 
-	// 6. Per-cycle accounting: pure slab arithmetic (portOcc mirrors the
-	// buffer occupancies incrementally; nil ports stay at zero).
-	for id := range n.routers {
-		n.rStatic[id]++
-		if n.rGated[id] {
-			n.gatedCycles++
-		}
-		if n.rBufCount[id] == 0 {
-			continue // every port occupancy is zero
-		}
-		base := id * NumPorts
-		for p := 0; p < NumPorts; p++ {
-			n.winOcc[base+p] += uint64(n.portOcc[base+p])
-		}
+	// 6. Per-cycle accounting.
+	sp.runPhase(phaseAccount, cy)
+	for _, slot := range sp.slots {
+		n.gatedCycles += slot.gatedCycles
+		slot.gatedCycles = 0
 	}
 
 	n.cycle++
@@ -484,8 +514,9 @@ func (n *Network) step(maxCycles int64) {
 }
 
 // admitStep moves workload packets due this cycle into the NIC queues.
-// Packet ids are handed out in pop order, so this phase stays sequential
-// under sharded stepping.
+// Packet ids are handed out in pop order, so this phase runs on the
+// coordinator. Admitting into a network with nothing outstanding restarts
+// the stall clock: the idle gap before it was not a stall.
 func (n *Network) admitStep(cy int64) {
 	for {
 		pkt, ok := n.gen.PopDue(cy)
@@ -506,21 +537,24 @@ func (n *Network) admitStep(cy int64) {
 		n.nextPacketID++
 		n.packets.append(n.newInfo(job))
 		q.queue = append(q.queue, job)
+		if n.outstanding == 0 {
+			n.lastProgress = cy
+		}
 		n.outstanding++
 	}
 }
 
 // injectPhase runs step 5 for every NIC: injection into active routers,
 // wake triggering for gated CP-style ones. Flit ids and the injection
-// PRNG draws are handed out in router order, so this phase stays
-// sequential under sharded stepping.
+// PRNG draws are handed out in router order, so this phase runs on the
+// coordinator and emits its events directly.
 func (n *Network) injectPhase(cy int64) {
 	for id, q := range n.nics {
 		r := n.routers[id]
 		if n.active(id) {
 			n.injectStep(r, q, cy)
-		} else if q.pending() && !n.cfg.Bypass && n.rGated[id] && n.rWaking[id] == 0 {
-			n.triggerWake(r, nil)
+		} else if q.pending() && !n.cfg.Bypass && n.rGated[id] && n.rWaking[id] == 0 && n.triggerWake(r) {
+			n.emit(Event{Cycle: cy, Kind: EvWake, Router: id})
 		}
 	}
 }
@@ -641,10 +675,9 @@ func (n *Network) fastForward(k int64) {
 }
 
 // powerStateStep advances wake counters and gating decisions. It touches
-// only the router's own state (and its meter), so the sharded stepper runs
-// it in parallel across shards; slot, when non-nil, buffers the emitted
-// events for an in-order flush at the commit barrier (nil emits directly,
-// the sequential path).
+// only the router's own state (and its meter), so shards run it in
+// parallel; slot buffers the emitted events for the in-order flush after
+// the phase.
 func (n *Network) powerStateStep(r *Router, cy int64, slot *shardSlot) {
 	id := r.id
 	if n.rWaking[id] > 0 {
@@ -661,7 +694,9 @@ func (n *Network) powerStateStep(r *Router, cy int64, slot *shardSlot) {
 		if !n.cfg.Bypass {
 			for _, e := range n.inMinReady[id*NumPorts : (id+1)*NumPorts] {
 				if e <= cy {
-					n.triggerWake(r, slot)
+					if n.triggerWake(r) {
+						n.emitGate(slot, Event{Cycle: cy, Kind: EvWake, Router: id})
+					}
 					break
 				}
 			}
@@ -703,24 +738,25 @@ func (n *Network) hasChannelTraffic(id int) bool {
 	return false
 }
 
-// triggerWake starts a gated router's wake-up countdown. slot is non-nil
-// only when called from the sharded stepper's parallel power-state phase.
-func (n *Network) triggerWake(r *Router, slot *shardSlot) {
+// triggerWake starts a gated router's wake-up countdown and reports
+// whether it did; the caller emits the EvWake event.
+func (n *Network) triggerWake(r *Router) bool {
 	id := r.id
 	if n.rWaking[id] > 0 || !n.rGated[id] {
-		return
+		return false
 	}
 	n.flushStatic(r)
 	n.rWaking[id] = int32(n.cfg.WakeupCycles)
 	if n.rWaking[id] <= 0 {
 		n.rWaking[id] = 1
 	}
-	n.emitGate(slot, Event{Cycle: n.cycle, Kind: EvWake, Router: id})
 	n.meters[id].Wakeup()
+	return true
 }
 
 // flushStatic banks the cycles spent in the router's previous static state
-// before a state change.
+// before a state change. Readers use staticJoules instead, so observing a
+// run cannot change it.
 func (n *Network) flushStatic(r *Router) {
 	id := r.id
 	if n.rStatic[id] > 0 {
@@ -731,13 +767,22 @@ func (n *Network) flushStatic(r *Router) {
 	r.lastGated = n.rGated[id]
 }
 
+// staticJoules returns router id's static energy so far, including the
+// cycles not yet banked, without banking them.
+func (n *Network) staticJoules(id int) float64 {
+	r := n.routers[id]
+	if n.rStatic[id] == 0 {
+		return n.meters[id].StaticJoules
+	}
+	return n.meters[id].StaticAfter(n.rStatic[id], r.lastScheme, r.lastGated)
+}
+
 // deliverChannels moves at most one flit per input port from the channel
 // into its VC buffer. A port whose earliest-ready slot lies in the future
 // (or holds noReady) is skipped without touching its channel. It mutates
-// only the router's own channels and buffers, so the sharded stepper runs
-// it in parallel across shards; the cross-router side effects
-// (bufferedFlits, lastProgress, the delivery events) go through slot when
-// non-nil and are committed at the barrier.
+// only the router's own channels and buffers, so shards run it in
+// parallel; the cross-router side effects (bufferedFlits, lastProgress,
+// the delivery events) go through slot and commit after the phase.
 func (n *Network) deliverChannels(r *Router, cy int64, slot *shardSlot) {
 	base := r.id * NumPorts
 	for p := 0; p < NumPorts; p++ {
@@ -758,17 +803,11 @@ func (n *Network) deliverChannels(r *Router, cy int64, slot *shardSlot) {
 		n.portOcc[base+p]++
 		ip.winFlitsIn++
 		n.meters[r.id].BufWrite()
-		if slot == nil {
-			n.bufferedFlits++
-			n.emitFlit(cy, EvDeliver, r.id, f)
-			n.lastProgress = cy
-		} else {
-			slot.buffered++
-			slot.progress = true
-			if n.eventHook != nil {
-				slot.deliverEvents = append(slot.deliverEvents,
-					Event{Cycle: cy, Kind: EvDeliver, Router: r.id, PacketID: f.PacketID, FlitSeq: f.Seq})
-			}
+		slot.buffered++
+		slot.progress = true
+		if n.eventHook != nil {
+			slot.deliverEvents = append(slot.deliverEvents,
+				Event{Cycle: cy, Kind: EvDeliver, Router: r.id, PacketID: f.PacketID, FlitSeq: f.Seq})
 		}
 	}
 }
@@ -790,7 +829,7 @@ func (n *Network) saStage(r *Router, cy int64) {
 // occupied input VCs builds a request mask per output port (bit
 // p*VCs+v), so arbitration only touches slots that actually hold a routed
 // flit — the hot loop of the whole simulator. It reads nothing outside
-// the router, which is what lets the sharded stepper run it in parallel
+// the router, which is what lets a multi-shard tick run it in parallel
 // across shards: the request set a router sees is the same whether its
 // neighbours' commits have run or not (commits never touch another
 // router's input VCs).
@@ -809,9 +848,9 @@ func (n *Network) saBuild(r *Router, req *[NumPorts]uint64) {
 
 // saCommit is the mutating half of switch allocation: arbitration, buffer
 // pops, credit returns, link traversal, ejection. Credits returned here
-// are visible to higher-numbered routers within the same cycle, so the
-// sharded stepper runs all commits sequentially in router-index order —
-// exactly the sequential schedule — after the parallel build phase.
+// are visible to higher-numbered routers within the same cycle, so a
+// multi-shard tick runs all commits on the coordinator in router-index
+// order — exactly the fused schedule — after the parallel build phase.
 func (n *Network) saCommit(r *Router, cy int64, req *[NumPorts]uint64) {
 	var inputUsed [NumPorts]bool
 	for outP := 0; outP < NumPorts; outP++ {
@@ -923,10 +962,11 @@ func (n *Network) vaStage(r *Router, cy int64) {
 	}
 }
 
-// rcStage routes head flits that just reached the head of their VC. slot
-// is non-nil only on the sharded stepper's parallel VA+RC phase, where
-// the control-fault count must accumulate per shard and the PRNG draw
-// comes from the coordinator's pre-banked rcDraws instead of the stream.
+// rcStage routes head flits that just reached the head of their VC. The
+// control-fault count accumulates in the shard's slot. On a multi-shard
+// tick the control-fault PRNG draw comes from the coordinator's
+// pre-banked rcDraws; one shard draws inline from the stream, in the same
+// order.
 func (n *Network) rcStage(r *Router, cy int64, slot *shardSlot) {
 	vcs := n.cfg.VCs
 	for m := n.rOccVC[r.id]; m != 0; m &= m - 1 {
@@ -943,7 +983,7 @@ func (n *Network) rcStage(r *Router, cy int64, slot *shardSlot) {
 		ivc.routedAt = cy
 		if n.cfg.ControlFaultRate > 0 {
 			var draw float64
-			if n.rcPredrawn {
+			if n.shardCount > 1 {
 				draw = n.rcDraws[r.id*NumPorts*vcs+s]
 			} else {
 				draw = n.rng.Float64()
@@ -956,11 +996,7 @@ func (n *Network) rcStage(r *Router, cy int64, slot *shardSlot) {
 					penalty = 2
 				}
 				ivc.routedAt = cy + penalty
-				if slot != nil {
-					slot.controlFaults++
-				} else {
-					n.controlFaults++
-				}
+				slot.controlFaults++
 			}
 		}
 		if !n.cfg.HasVAStage {
@@ -981,8 +1017,7 @@ func (n *Network) rcStage(r *Router, cy int64, slot *shardSlot) {
 
 // predrawControlFaults banks one control-fault PRNG draw for every VC
 // that rcStage will route this tick, in exact (router, port, VC) order,
-// so the sharded stepper can fan VA+RC out without reordering the
-// stream. Called by the coordinator after the commit pass, at the same
+// so a multi-shard tick can fan VA+RC out without reordering the stream. Called by the coordinator after the commit pass, at the same
 // schedule point the parallel phase starts from; the qualifying set is
 // identical to what rcStage sees because (a) commits only mutate their
 // own router's input VCs, so post-commit state is final, and (b) vaStage
@@ -1007,7 +1042,6 @@ func (n *Network) predrawControlFaults() {
 			n.rcDraws[id*stride+slot] = n.rng.Float64()
 		}
 	}
-	n.rcPredrawn = true
 }
 
 // bypassStep forwards flits through a gated router's stress-relaxing
@@ -1178,12 +1212,12 @@ func (n *Network) sendOnLink(r *Router, op *outputPort, f *Flit, cy int64) {
 	n.meters[r.id].Link(hops, uint64(n.cfg.ChannelStages), scheme)
 	n.thermAct[r.id]++
 	op.winFlitsOut++
-	// Under sharded stepping the push is staged per destination shard and
-	// drained by the channel's owning shard in the accounting phase; the
-	// deferral is invisible within the tick (readyAt >= cy+2, and nothing
-	// between the commit pass and the drain reads channels). Sequential
-	// stepping pushes directly.
-	if sp := n.pool; sp != nil && n.shardCount > 0 {
+	// With more than one shard the push is staged per destination shard
+	// and drained by the channel's owning shard in the accounting phase;
+	// the deferral is invisible within the tick (readyAt >= cy+2, and
+	// nothing between the commit pass and the drain reads channels). One
+	// shard pushes directly.
+	if sp := n.pool; n.shardCount > 1 {
 		slot := sp.slots[sp.shardOf[op.downRouter]]
 		slot.stagedLinks = append(slot.stagedLinks, stagedPush{ch: op.ch, flit: f, readyAt: readyAt})
 	} else {
@@ -1787,8 +1821,8 @@ func (n *Network) applyMode(r *Router, mode Mode) {
 	if prev != mode {
 		n.emit(Event{Cycle: n.cycle, Kind: EvModeChange, Router: r.id, Mode: mode})
 	}
-	if prev == ModeBypass && mode != ModeBypass && n.rGated[r.id] {
-		n.triggerWake(r, nil)
+	if prev == ModeBypass && mode != ModeBypass && n.rGated[r.id] && n.triggerWake(r) {
+		n.emit(Event{Cycle: n.cycle, Kind: EvWake, Router: r.id})
 	}
 	n.flushStatic(r)
 }
@@ -1988,7 +2022,9 @@ func (n *Network) RunContext(ctx context.Context, maxCycles int64) (Result, erro
 			}
 		}
 		n.step(maxCycles)
-		if n.cycle-n.lastProgress > stallLimit {
+		// The stall clock runs only while packets are outstanding; an idle
+		// gap in the workload is not a stall (admitStep restarts it).
+		if n.outstanding > 0 && n.cycle-n.lastProgress > stallLimit {
 			res := n.Snapshot()
 			res.Deadlocked = true
 			return res, fmt.Errorf("noc: no progress for %d cycles at cycle %d (%d packets outstanding)",
@@ -1998,7 +2034,8 @@ func (n *Network) RunContext(ctx context.Context, maxCycles int64) (Result, erro
 	return n.Snapshot(), nil
 }
 
-// Snapshot returns the metrics accumulated so far.
+// Snapshot returns the metrics accumulated so far. It changes no state,
+// so calling it mid-run leaves the run bit-identical.
 func (n *Network) Snapshot() Result {
 	var res Result
 	res.Cycles = n.cycle
@@ -2009,8 +2046,7 @@ func (n *Network) Snapshot() Result {
 	res.P95Latency = n.latency.Percentile(95)
 	res.P99Latency = n.latency.Percentile(99)
 	for i, m := range n.meters {
-		n.flushStatic(n.routers[i])
-		res.StaticJoules += m.StaticJoules
+		res.StaticJoules += n.staticJoules(i)
 		res.DynamicJoules += m.DynamicJoules
 	}
 	res.HopRetransmits = n.hopRetransmits

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"fmt"
 	"testing"
 
 	"intellinoc/internal/ecc"
@@ -434,5 +435,95 @@ func TestLongPackets(t *testing.T) {
 	res := mustRun(t, cfg, traffic.NewSliceGenerator(pkts), nil)
 	if res.PacketsDelivered != 1 || res.FlitsDelivered != 32 {
 		t.Fatalf("long packet mangled: %d packets, %d flits", res.PacketsDelivered, res.FlitsDelivered)
+	}
+}
+
+// TestIdleGapIsNotAStall spaces two packets further apart than the stall
+// limit. Nothing is in flight during the gap, so the run must deliver
+// both instead of reporting no progress; the second admission restarts
+// the stall clock, including while a gated router wakes to take it.
+func TestIdleGapIsNotAStall(t *testing.T) {
+	gated := testConfig()
+	gated.PowerGating = true
+	bypass := channelConfig()
+	bypass.PowerGating = true
+	bypass.Bypass = true
+	cases := []struct {
+		name string
+		cfg  Config
+		ctrl Controller
+	}{
+		{"baseline", testConfig(), nil},
+		{"gated", gated, nil},
+		{"bypass", bypass, StaticController(ModeBypass)},
+	}
+	for _, tc := range cases {
+		for _, noFF := range []bool{false, true} {
+			cfg := tc.cfg
+			cfg.DisableIdleFastForward = noFF
+			name := tc.name
+			if noFF {
+				name += "/noff"
+			}
+			t.Run(name, func(t *testing.T) {
+				gen := traffic.NewSliceGenerator([]traffic.Packet{
+					{Time: 0, Src: 0, Dst: 15, Flits: 4},
+					{Time: 250_000, Src: 15, Dst: 0, Flits: 4},
+				})
+				n, err := New(cfg, gen, tc.ctrl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := n.RunUntilDrained(1_000_000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.PacketsDelivered != 2 || res.Deadlocked {
+					t.Fatalf("delivered %d packets, deadlocked=%v", res.PacketsDelivered, res.Deadlocked)
+				}
+			})
+		}
+	}
+}
+
+// TestObservingDoesNotChangeRun reads Snapshot and PerRouter every 37
+// cycles of a power-gated run: the run must end bit-identical to an
+// unobserved one (reading must not bank pending static energy early).
+func TestObservingDoesNotChangeRun(t *testing.T) {
+	for _, cfg := range []Config{testConfig(), channelConfig()} {
+		cfg.PowerGating = true
+		t.Run(fmt.Sprintf("stages%d", cfg.ChannelStages), func(t *testing.T) {
+			run := func(observe bool) (Result, uint64, []RouterSummary) {
+				n, err := New(cfg, uniformGen(t, cfg, 0.05, 400), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for next := int64(37); !n.Drained(); {
+					if n.Cycle() >= 5_000_000 {
+						t.Fatal("run did not drain")
+					}
+					n.Step()
+					if observe && n.Cycle() >= next {
+						n.Snapshot()
+						n.PerRouter()
+						next = n.Cycle() + 37
+					}
+				}
+				return n.Snapshot(), n.Fingerprint(), n.PerRouter()
+			}
+			res, fp, per := run(false)
+			gotRes, gotFP, gotPer := run(true)
+			if gotRes != res {
+				t.Fatalf("observed run's Result diverges:\nunobserved %+v\nobserved   %+v", res, gotRes)
+			}
+			if gotFP != fp {
+				t.Fatal("observed run's fingerprint diverges")
+			}
+			for i := range per {
+				if gotPer[i] != per[i] {
+					t.Fatalf("router %d summary diverges:\nunobserved %+v\nobserved   %+v", i, per[i], gotPer[i])
+				}
+			}
+		})
 	}
 }

@@ -1,12 +1,5 @@
 package noc
 
-import (
-	"fmt"
-	"io"
-
-	"intellinoc/internal/power"
-)
-
 // RouterSummary is the per-router slice of a run's results: where the
 // heat, wear and traffic actually landed on the die.
 type RouterSummary struct {
@@ -21,70 +14,23 @@ type RouterSummary struct {
 	Gated          bool
 }
 
-// PerRouter returns one summary per router, indexed by node id.
+// PerRouter returns one summary per router, indexed by node id. Like
+// Snapshot, it may be called mid-run without changing the run.
 func (n *Network) PerRouter() []RouterSummary {
 	out := make([]RouterSummary, len(n.routers))
 	for i, r := range n.routers {
-		n.flushStatic(r)
 		_, _, dv := n.aging.DeltaVth(n.wear[i])
-		var flits uint64
-		for p := 0; p < NumPorts; p++ {
-			if r.out[p] != nil {
-				flits += r.out[p].winFlitsOut
-			}
-		}
 		out[i] = RouterSummary{
 			ID: i, X: r.x, Y: r.y,
-			TempC:         n.grid.Temp(i),
-			DeltaVth:      dv,
-			MTTFSeconds:   n.aging.MTTFSeconds(n.wear[i]),
-			StaticJoules:  n.meters[i].StaticJoules,
-			DynamicJoules: n.meters[i].DynamicJoules,
-			Mode:          r.mode,
-			Gated:         n.rGated[i],
+			TempC:          n.grid.Temp(i),
+			DeltaVth:       dv,
+			MTTFSeconds:    n.aging.MTTFSeconds(n.wear[i]),
+			StaticJoules:   n.staticJoules(i),
+			DynamicJoules:  n.meters[i].DynamicJoules,
+			Mode:           r.mode,
+			Gated:          n.rGated[i],
+			FlitsForwarded: n.meters[i].Events.XbarTraverses,
 		}
-		out[i].FlitsForwarded = n.meters[i].Events.XbarTraverses
 	}
 	return out
-}
-
-// WriteRouterCSV emits the per-router summaries as CSV, one row per
-// router, for plotting heatmaps.
-func (n *Network) WriteRouterCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "id,x,y,temp_c,delta_vth_v,mttf_s,static_j,dynamic_j,flits,mode,gated"); err != nil {
-		return err
-	}
-	for _, s := range n.PerRouter() {
-		_, err := fmt.Fprintf(w, "%d,%d,%d,%.3f,%.6g,%.6g,%.6g,%.6g,%d,%s,%v\n",
-			s.ID, s.X, s.Y, s.TempC, s.DeltaVth, s.MTTFSeconds,
-			s.StaticJoules, s.DynamicJoules, s.FlitsForwarded, s.Mode, s.Gated)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteTempHeatmap renders the die temperatures as an ASCII grid.
-func (n *Network) WriteTempHeatmap(w io.Writer) {
-	fmt.Fprintln(w, "router temperatures (°C):")
-	for y := 0; y < n.cfg.Height; y++ {
-		for x := 0; x < n.cfg.Width; x++ {
-			fmt.Fprintf(w, "%6.1f", n.grid.Temp(y*n.cfg.Width+x))
-		}
-		fmt.Fprintln(w)
-	}
-}
-
-// MeanPowerWatts returns the network's average total power so far.
-func (n *Network) MeanPowerWatts() float64 {
-	if n.cycle == 0 {
-		return 0
-	}
-	var joules float64
-	for i, m := range n.meters {
-		n.flushStatic(n.routers[i])
-		joules += m.TotalJoules()
-	}
-	return joules / (float64(n.cycle) / power.ClockHz)
 }

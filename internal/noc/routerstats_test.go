@@ -1,10 +1,6 @@
 package noc
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestPerRouterSummaries(t *testing.T) {
 	cfg := channelConfig()
@@ -43,35 +39,5 @@ func TestPerRouterSummaries(t *testing.T) {
 	if per[5].FlitsForwarded <= per[0].FlitsForwarded/4 {
 		t.Fatalf("central router should forward more than a corner: %d vs %d",
 			per[5].FlitsForwarded, per[0].FlitsForwarded)
-	}
-}
-
-func TestRouterCSVAndHeatmap(t *testing.T) {
-	cfg := testConfig()
-	n, err := New(cfg, uniformGen(t, cfg, 0.1, 500), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.RunUntilDrained(1_000_000); err != nil {
-		t.Fatal(err)
-	}
-	var csv bytes.Buffer
-	if err := n.WriteRouterCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
-	if len(lines) != 17 { // header + 16 routers
-		t.Fatalf("CSV has %d lines, want 17", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "id,x,y,temp_c") {
-		t.Fatalf("CSV header malformed: %s", lines[0])
-	}
-	var heat bytes.Buffer
-	n.WriteTempHeatmap(&heat)
-	if got := strings.Count(heat.String(), "\n"); got != 5 { // title + 4 rows
-		t.Fatalf("heatmap rows = %d, want 5", got)
-	}
-	if n.MeanPowerWatts() <= 0 {
-		t.Fatal("mean power must be positive after a run")
 	}
 }

@@ -5,17 +5,23 @@ import (
 	"sync/atomic"
 )
 
-// Sharded stepping: step() decomposed into parallel per-router scan phases
-// and a sequential in-order commit, bit-identical to the sequential path.
+// The tick: step() in network.go runs every shard count through one
+// schedule of phases. Shards are contiguous router-id ranges (a
+// geometry-free partition: no phase assumes a shard is a row slab, so the
+// same split serves meshes, tori, chiplet hierarchies, and routerless
+// loops alike). A one-shard pool has no workers, and runPhase runs the
+// phase inline: no goroutines, no atomics, no barrier. With more shards
+// the per-router scans fan out across persistent workers, and every
+// order-sensitive mutation stays on the coordinating goroutine.
 //
-// The network cannot be naively partitioned because the sequential schedule
-// has same-cycle cross-router visibility in exactly one place: when router
+// The network cannot be naively partitioned because the schedule has
+// same-cycle cross-router visibility in exactly one place: when router
 // i's switch allocation pops a flit, the freed buffer slot's credit
 // returns to the upstream router immediately, and a higher-numbered router
 // j > i sees that credit within the same cycle's arbitration pass. So the
-// decomposition keeps every order-sensitive mutation — arbitration with
-// its credit chain, link PRNG draws, ejection, packet/flit id assignment,
-// floating-point meter flushes — on the coordinating goroutine in router
+// multi-shard schedule keeps every order-sensitive mutation — arbitration
+// with its credit chain, link PRNG draws, ejection, packet/flit id
+// assignment, floating-point meter flushes — on the coordinator in router
 // index order, and parallelizes only the per-router scans whose reads
 // provably cannot observe another router's same-phase writes:
 //
@@ -24,27 +30,29 @@ import (
 //	phase 4c   VA + RC after all SA commits       (own ports; no credits)
 //	phase 6    per-cycle accounting               (own counters)
 //
-// Moving VA/RC after the whole commit pass (the sequential schedule
-// interleaves sa;va;rc per router) is safe because VA and RC read and
-// write only their own router's ports and never consult credits — the one
-// cross-router channel — and the per-router sa-before-va-before-rc order
-// is preserved. When ControlFaultRate > 0, RC draws from the control-fault
-// PRNG, whose draw order must match the sequential schedule; since that
-// stream is touched nowhere else and the set of VCs that draw is fully
-// determined once the commit pass is done, the coordinator pre-draws the
-// tick's values in router order (predrawControlFaults) and the parallel
-// VA+RC phase consumes the banked draws — the stream sees the exact
-// sequential order either way.
+// Phase 4 is the only place the schedule forks on shard count. One shard
+// runs sa;va;rc fused per router in router order, touching each router's
+// VC state once per cycle. More shards split it into the parallel build,
+// the in-order commit and the parallel VA+RC above. Moving VA/RC after the
+// whole commit pass is safe because VA and RC read and write only their
+// own router's ports and never consult credits — the one cross-router
+// channel — and the per-router sa-before-va-before-rc order is preserved.
+// (Running one shard through the split schedule too was measured and
+// rejected: three passes over each router's VC state cost 10-13% of
+// simulated cycles/s.) When ControlFaultRate > 0, RC draws from the
+// control-fault PRNG, whose draw order must match the fused schedule;
+// since that stream is touched nowhere else and the set of VCs that draw
+// is fully determined once the commit pass is done, the coordinator
+// pre-draws the tick's values in router order (predrawControlFaults) and
+// the parallel VA+RC phase consumes the banked draws. One shard draws
+// inline, in the same order.
 //
-// Cross-router side effects of the parallel phases (bufferedFlits,
-// lastProgress, event emission) are accumulated per shard in a shardSlot
-// and committed at the barrier in shard order, which equals router-index
-// order because shards are contiguous router-id ranges (a geometry-free
-// partition: no phase assumes a shard is a row slab, so the same split
-// serves meshes, tori, chiplet hierarchies, and routerless loops alike).
-// Event hooks therefore
-// fire only from the coordinating goroutine, in the exact sequential
-// order — the single-goroutine guarantee SetEventHook documents.
+// Cross-router side effects of the phases (bufferedFlits, lastProgress,
+// gated-cycle and control-fault counts, event emission) are accumulated
+// per shard in a shardSlot and committed after the phase in shard order,
+// which equals router-index order. Event hooks therefore fire only from
+// the coordinating goroutine, in the same order at every shard count —
+// the single-goroutine guarantee SetEventHook documents.
 
 // Phase selectors for shardPool.runPhase.
 const (
@@ -55,14 +63,14 @@ const (
 )
 
 // shardSlot accumulates one shard's cross-router side effects during a
-// parallel phase, for an in-order commit at the barrier.
+// phase, for an in-order commit after it.
 type shardSlot struct {
 	gateEvents    []Event // power-state phase (EvGate/EvWake), router order
 	deliverEvents []Event // delivery phase (EvDeliver), router order
 	buffered      int     // bufferedFlits delta
 	progress      bool    // any delivery happened (lastProgress = cy)
 	gatedCycles   uint64  // accounting-phase gated-cycle delta
-	controlFaults uint64  // VA+RC-phase control-fault delta
+	controlFaults uint64  // RC control-fault delta
 	// stagedLinks holds the link pushes bound for this shard's channels,
 	// appended by the coordinator during the commit pass and drained by
 	// the owning shard in the accounting phase (see stagedPush).
@@ -84,12 +92,10 @@ type stagedPush struct {
 	readyAt int64
 }
 
-// emitGate delivers a power-state event directly (sequential path, slot ==
-// nil) or into the shard's buffer for the in-order flush at the barrier.
+// emitGate buffers a power-state event in the shard's slot for the
+// in-order flush after the phase.
 func (n *Network) emitGate(slot *shardSlot, e Event) {
-	if slot == nil {
-		n.emit(e)
-	} else if n.eventHook != nil {
+	if n.eventHook != nil {
 		slot.gateEvents = append(slot.gateEvents, e)
 	}
 }
@@ -103,12 +109,12 @@ type shardWorker struct {
 	parked atomic.Bool
 }
 
-// shardPool runs the parallel scan phases across persistent worker
-// goroutines. The coordinating goroutine (whoever calls Step) executes
-// shard 0 itself and every sequential commit in between; workers 1..S-1
-// wait for the epoch counter to advance, run the posted phase over their
-// router range, and signal completion. All cross-goroutine handoff is
-// through sync/atomic, which the race detector understands.
+// shardPool runs the per-router scan phases over the shards. The
+// coordinating goroutine (whoever calls Step) executes shard 0 itself and
+// every in-order commit in between; workers 1..S-1 wait for the epoch
+// counter to advance, run the posted phase over their router range, and
+// signal completion. All cross-goroutine handoff is through sync/atomic,
+// which the race detector understands. A one-shard pool has no workers.
 type shardPool struct {
 	n       *Network
 	lo, hi  []int   // router id range [lo, hi) per shard (contiguous, ascending)
@@ -152,10 +158,9 @@ func newShardPool(n *Network, shards int) *shardPool {
 	return sp
 }
 
-// Close stops the sharded stepper's worker goroutines. It is a no-op on a
-// sequential network and safe to call repeatedly; stepping again after
-// Close starts a fresh pool. Like Step, it must not race other methods of
-// the Network.
+// Close stops the stepper's worker goroutines (a one-shard network has
+// none). It is safe to call repeatedly; stepping again after Close starts
+// a fresh pool. Like Step, it must not race other methods of the Network.
 func (n *Network) Close() {
 	if n.pool != nil {
 		n.pool.close()
@@ -207,9 +212,14 @@ func (sp *shardPool) workerLoop(s int, w *shardWorker) {
 }
 
 // runPhase posts a phase, runs shard 0 on the calling goroutine, and
-// blocks until every worker has finished — the per-cycle barrier.
+// blocks until every worker has finished — the per-cycle barrier. Without
+// workers it is a plain call.
 func (sp *shardPool) runPhase(phase int, cy int64) {
 	sp.phase, sp.cy = phase, cy
+	if len(sp.workers) == 0 {
+		sp.runShard(phase, 0)
+		return
+	}
 	sp.pending.Store(int32(len(sp.workers)))
 	sp.epoch.Add(1)
 	for _, w := range sp.workers {
@@ -245,15 +255,21 @@ func (sp *shardPool) runShard(phase, s int) {
 // shard's power-state steps before its deliveries preserves the global
 // 2-before-3 order for every router pair that interacts (a router's
 // delivery only touches its own channels and buffers, which no other
-// router's power-state step reads).
+// router's power-state step reads). Without power gating or bypass no
+// router can ever gate or wake, so phase 2 is skipped. Deliveries go to
+// every active router: a mode-0 router keeps its pipeline fully
+// operational until its buffers happen to drain — refusing deliveries to
+// force a drain would let two adjacent mode-0 routers deadlock waiting on
+// each other's credits.
 func (sp *shardPool) powerDeliver(s int) {
 	n, cy, slot := sp.n, sp.cy, sp.slots[s]
+	lo, hi := sp.lo[s], sp.hi[s]
 	if n.cfg.PowerGating || n.cfg.Bypass {
-		for id := sp.lo[s]; id < sp.hi[s]; id++ {
+		for id := lo; id < hi; id++ {
 			n.powerStateStep(n.routers[id], cy, slot)
 		}
 	}
-	for id := sp.lo[s]; id < sp.hi[s]; id++ {
+	for id := lo; id < hi; id++ {
 		if n.active(id) {
 			n.deliverChannels(n.routers[id], cy, slot)
 		}
@@ -261,13 +277,13 @@ func (sp *shardPool) powerDeliver(s int) {
 }
 
 // buildRequests runs the read-only half of switch allocation for one
-// shard, mirroring the sequential phase-4 dispatch: gated-with-bypass
-// routers are handled by the commit pass, quiescent routers are skipped.
-// Neither this phase nor any commit before it can change the condition or
-// the request masks a router would have seen at its sequential turn.
+// shard, mirroring the fused phase-4 dispatch: gated-with-bypass routers
+// are handled by the commit pass, quiescent routers are skipped. Neither
+// this phase nor any commit before it can change the condition or the
+// request masks a router would have seen at its turn in router order.
 func (sp *shardPool) buildRequests(s int) {
 	n, bypass := sp.n, sp.n.cfg.Bypass
-	for id := sp.lo[s]; id < sp.hi[s]; id++ {
+	for id, hi := sp.lo[s], sp.hi[s]; id < hi; id++ {
 		if n.rGated[id] && bypass {
 			continue
 		}
@@ -281,14 +297,13 @@ func (sp *shardPool) buildRequests(s int) {
 // vaRC runs VA then RC for one shard's routers, after every SA commit.
 // Safe in parallel: both stages touch only their own router's ports and
 // never read credits. Routers whose buffers drained during the commit
-// pass are skipped — on the sequential schedule VA/RC would have run for
-// them and no-opped (both stages skip empty VCs). With control faults
-// enabled, RC consumes the draws the coordinator pre-banked in rcDraws
-// (predrawControlFaults) instead of the PRNG stream, and the fault count
-// accumulates in the slot for a commutative commit at the barrier.
+// pass are skipped — on the fused schedule VA/RC would have run for them
+// and no-opped (both stages skip empty VCs). With control faults enabled,
+// RC consumes the draws the coordinator pre-banked in rcDraws
+// (predrawControlFaults) instead of the PRNG stream.
 func (sp *shardPool) vaRC(s int) {
 	n, cy, slot := sp.n, sp.cy, sp.slots[s]
-	for id := sp.lo[s]; id < sp.hi[s]; id++ {
+	for id, hi := sp.lo[s], sp.hi[s]; id < hi; id++ {
 		if n.active(id) && n.rBufCount[id] > 0 {
 			r := n.routers[id]
 			n.vaStage(r, cy)
@@ -297,15 +312,17 @@ func (sp *shardPool) vaRC(s int) {
 	}
 }
 
-// account runs the per-cycle accounting for one shard; the gated-cycle
-// counter is global, so its delta commits at the barrier. It also drains
-// the shard's staged link pushes (see stagedPush): each staged channel
-// belongs to a router in this shard, no other phase-6 scan touches
-// channels, and per-channel there is at most one push per cycle, so the
-// drain is race-free and leaves the rings exactly as the sequential
-// schedule would. The same holds for each push's earliest-ready slot
-// (Network.inMinReady), which belongs to the receiving router: only its
-// owning shard writes it, here and in its delivery phase.
+// account runs the per-cycle accounting for one shard: pure slab
+// arithmetic (portOcc mirrors the buffer occupancies incrementally; nil
+// ports stay at zero). The gated-cycle counter is global, so its delta
+// commits after the phase. It also drains the shard's staged link pushes
+// (see stagedPush): each staged channel belongs to a router in this
+// shard, no other phase-6 scan touches channels, and per-channel there is
+// at most one push per cycle, so the drain is race-free and leaves the
+// rings exactly as direct pushes would. The same holds for each push's
+// earliest-ready slot (Network.inMinReady), which belongs to the
+// receiving router: only its owning shard writes it, here and in its
+// delivery phase.
 func (sp *shardPool) account(s int) {
 	n, slot := sp.n, sp.slots[s]
 	for i, st := range slot.stagedLinks {
@@ -313,10 +330,11 @@ func (sp *shardPool) account(s int) {
 		slot.stagedLinks[i] = stagedPush{}
 	}
 	slot.stagedLinks = slot.stagedLinks[:0]
-	for id := sp.lo[s]; id < sp.hi[s]; id++ {
+	var gated uint64
+	for id, hi := sp.lo[s], sp.hi[s]; id < hi; id++ {
 		n.rStatic[id]++
 		if n.rGated[id] {
-			slot.gatedCycles++
+			gated++
 		}
 		if n.rBufCount[id] == 0 {
 			continue // every port occupancy is zero
@@ -326,114 +344,5 @@ func (sp *shardPool) account(s int) {
 			n.winOcc[base+p] += uint64(n.portOcc[base+p])
 		}
 	}
-}
-
-// stepSharded is step() for shardCount > 1: the same phases in the same
-// order, with the scans fanned out across the pool and every
-// order-sensitive commit kept on this goroutine in router-index order.
-func (n *Network) stepSharded(maxCycles int64) {
-	if n.pool == nil || n.pool.closed.Load() {
-		n.pool = newShardPool(n, n.shardCount)
-	}
-	sp := n.pool
-	cy := n.cycle
-
-	// 0. Idle fast-forward. bufferedFlits only changes at commit points,
-	// so zero here means every shard reported idle at the last barrier —
-	// the fast-forward fires exactly when the sequential stepper would.
-	if n.bufferedFlits == 0 && !n.cfg.DisableIdleFastForward {
-		if k := n.idleSpan(); k > 1 {
-			if lim := maxCycles - cy; k > lim {
-				k = lim
-			}
-			if k > 1 {
-				n.fastForward(k)
-				return
-			}
-		}
-	}
-
-	// 1. Admission: packet ids and NIC queue order are order-sensitive.
-	n.admitStep(cy)
-
-	// 2+3. Parallel power-state + deliveries, then commit the counter
-	// deltas and flush the buffered events in shard (= router) order:
-	// all gate/wake events first, then all deliveries, exactly the
-	// sequential emission order.
-	sp.runPhase(phasePowerDeliver, cy)
-	for _, slot := range sp.slots {
-		n.bufferedFlits += slot.buffered
-		slot.buffered = 0
-		if slot.progress {
-			n.lastProgress = cy
-			slot.progress = false
-		}
-	}
-	if n.eventHook != nil {
-		for _, slot := range sp.slots {
-			for i := range slot.gateEvents {
-				n.eventHook(slot.gateEvents[i])
-			}
-			slot.gateEvents = slot.gateEvents[:0]
-		}
-		for _, slot := range sp.slots {
-			for i := range slot.deliverEvents {
-				n.eventHook(slot.deliverEvents[i])
-			}
-			slot.deliverEvents = slot.deliverEvents[:0]
-		}
-	}
-
-	// 4a. Parallel switch-allocation request-mask build.
-	sp.runPhase(phaseSABuild, cy)
-
-	// 4b. Ordered commit: bypass switches and switch arbitration with
-	// traversal/ejection, in router-index order. This is where the
-	// same-cycle credit chain, the link-fault PRNG draws, and the power
-	// meter accumulation happen, all in the exact sequential order.
-	for id, r := range n.routers {
-		switch {
-		case n.rGated[id] && n.cfg.Bypass:
-			n.bypassStep(r, cy)
-		case sp.hasReq[id]:
-			sp.hasReq[id] = false
-			n.saCommit(r, cy, &sp.req[id])
-		}
-	}
-
-	// 4c. VA + RC, fanned out. With control faults enabled RC consumes
-	// the control-fault PRNG, whose draw order must match the sequential
-	// schedule; the coordinator pre-draws the tick's values in router
-	// order (the qualifying set is fixed once the commits are done — see
-	// predrawControlFaults), and the parallel phase reads the banked
-	// draws instead of the stream.
-	if n.cfg.ControlFaultRate > 0 {
-		n.predrawControlFaults()
-	}
-	sp.runPhase(phaseVARC, cy)
-	if n.rcPredrawn {
-		n.rcPredrawn = false
-		for _, slot := range sp.slots {
-			n.controlFaults += slot.controlFaults
-			slot.controlFaults = 0
-		}
-	}
-
-	// 5. Injection: flit ids and payload PRNG draws are order-sensitive.
-	n.injectPhase(cy)
-
-	// 6. Parallel accounting.
-	sp.runPhase(phaseAccount, cy)
-	for _, slot := range sp.slots {
-		n.gatedCycles += slot.gatedCycles
-		slot.gatedCycles = 0
-	}
-
-	n.cycle++
-	if n.cycle%int64(n.cfg.ThermalIntervalCycles) == 0 {
-		n.thermalStep()
-	}
-	if n.cycle%int64(n.cfg.TimeStepCycles) == 0 {
-		n.controlStep()
-	}
+	slot.gatedCycles += gated
 }

@@ -164,14 +164,12 @@ func TestShardedResultEquality(t *testing.T) {
 	}
 }
 
-// TestShardedEventOrder locks the hook contract: a sharded run must
-// deliver the exact event sequence of the sequential run, from a single
-// goroutine (the race detector enforces the latter via the unsynchronized
-// append below).
+// TestShardedEventOrder locks the hook contract for every shard case: a
+// 4-shard run must deliver the exact event sequence of the 1-shard run,
+// from a single goroutine (the race detector enforces the latter via the
+// unsynchronized append below). The CP-gated cases cover wakes emitted
+// both from the power-state phase and from the injection phase.
 func TestShardedEventOrder(t *testing.T) {
-	cfg := channelConfig()
-	cfg.PowerGating = true
-	cfg.Bypass = true
 	collect := func(n *Network) []Event {
 		var events []Event
 		n.SetEventHook(func(e Event) { events = append(events, e) })
@@ -180,19 +178,23 @@ func TestShardedEventOrder(t *testing.T) {
 		}
 		return events
 	}
-	a, b := shardPair(t, cfg, StaticController(ModeBypass), 0.05, 4, 200)
-	defer b.Close()
-	ea, eb := collect(a), collect(b)
-	if len(ea) != len(eb) {
-		t.Fatalf("event counts differ: seq %d vs sharded %d", len(ea), len(eb))
-	}
-	for i := range ea {
-		if ea[i] != eb[i] {
-			t.Fatalf("event %d differs: seq %+v vs sharded %+v", i, ea[i], eb[i])
-		}
-	}
-	if len(ea) == 0 {
-		t.Fatal("expected a non-empty event stream")
+	for _, tc := range shardCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := shardPair(t, tc.cfg, tc.ctrl, tc.rate, 4, 200)
+			defer b.Close()
+			ea, eb := collect(a), collect(b)
+			if len(ea) != len(eb) {
+				t.Fatalf("event counts differ: 1 shard %d vs 4 shards %d", len(ea), len(eb))
+			}
+			for i := range ea {
+				if ea[i] != eb[i] {
+					t.Fatalf("event %d differs: 1 shard %+v vs 4 shards %+v", i, ea[i], eb[i])
+				}
+			}
+			if len(ea) == 0 {
+				t.Fatal("expected a non-empty event stream")
+			}
+		})
 	}
 }
 

@@ -231,8 +231,16 @@ func NewMeter(params Params, cfg RouterConfig) *Meter {
 // TickStatic integrates `cycles` clock cycles of leakage in the given
 // dynamic state.
 func (m *Meter) TickStatic(cycles uint64, scheme ecc.Scheme, gated bool) {
+	m.StaticJoules = m.StaticAfter(cycles, scheme, gated)
+}
+
+// StaticAfter returns StaticJoules as TickStatic(cycles, scheme, gated)
+// would leave it, without storing it. A reader that needs the leakage so
+// far uses it instead of TickStatic: banking a partial span would split
+// one term into two and change the run's rounding.
+func (m *Meter) StaticAfter(cycles uint64, scheme ecc.Scheme, gated bool) float64 {
 	watts := m.params.StaticPower(m.cfg, scheme, gated)
-	m.StaticJoules += watts * float64(cycles) / ClockHz
+	return m.StaticJoules + watts*float64(cycles)/ClockHz
 }
 
 // BufWrite records one flit written into a router buffer.
