@@ -23,6 +23,8 @@ import "math"
 // The queue is a ring buffer: delivering the head flit — by far the
 // common case — is O(1) instead of the O(n) shift a slice-backed FIFO
 // pays, and storage is reused across the run instead of churning the GC.
+// The ring grows on demand; the Channel structs themselves live in the
+// network's channel slab (Network.chans).
 type Channel struct {
 	buf  []channelFlit
 	head int
@@ -56,13 +58,6 @@ const vcTrackLimit = 64
 
 const _ = uint(vcTrackLimit - maxVCs) // compile-time: maxVCs <= vcTrackLimit
 
-// newChannel returns an empty channel that keeps its earliest readyAt in
-// *minReady.
-func newChannel(minReady *int64) *Channel {
-	*minReady = noReady
-	return &Channel{minReady: minReady}
-}
-
 // at returns the i-th queued flit counting from the head (0 <= i < c.n).
 func (c *Channel) at(i int) *channelFlit {
 	j := c.head + i
@@ -93,11 +88,12 @@ func (c *Channel) push(f *Flit, readyAt int64) {
 func (c *Channel) len() int { return c.n }
 
 // chanSink is where a channel's flits are delivered: the VC buffers of
-// an input port, or — when n is set — router r's bypass switch for input
-// port p. The buffer test reads only the recorded VC, never the flit.
+// an input port (vcs, the port's row of the input-VC slab), or — when n
+// is set — router r's bypass switch for input port p. The buffer test
+// reads only the recorded VC and the ring length, never the flit.
 type chanSink struct {
 	vcs   []inputVC
-	depth int
+	depth int32
 	n     *Network
 	r     *Router
 	p     int
@@ -107,7 +103,7 @@ func (s *chanSink) accepts(cf *channelFlit) bool {
 	if s.n != nil {
 		return s.n.bypassCanForward(s.r, s.p, cf.flit)
 	}
-	return len(s.vcs[cf.vc].buf) < s.depth
+	return s.vcs[cf.vc].n < s.depth
 }
 
 // peekReady returns the index of the first flit deliverable into dst,

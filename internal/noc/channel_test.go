@@ -3,22 +3,27 @@ package noc
 import (
 	"math/rand"
 	"testing"
+
+	"intellinoc/internal/traffic"
 )
 
 func mkFlit(id uint64, vc int, t FlitType) *Flit {
 	return &Flit{ID: id, VC: vc, Type: t}
 }
 
-// testChannel returns a standalone channel with its own earliest-ready
-// slot.
-func testChannel() *Channel { return newChannel(new(int64)) }
+// testChannel returns a standalone, empty channel with its own
+// earliest-ready slot.
+func testChannel() *Channel {
+	minReady := int64(noReady)
+	return &Channel{minReady: &minReady}
+}
 
 // bufSink is a buffer-path delivery target with vcs one-slot VCs; the
 // VCs listed in full start occupied, so their flits are refused.
 func bufSink(vcs int, full ...int) *chanSink {
 	s := &chanSink{vcs: make([]inputVC, vcs), depth: 1}
 	for _, v := range full {
-		s.vcs[v].buf = []*Flit{{}}
+		s.vcs[v].n = 1
 	}
 	return s
 }
@@ -72,18 +77,19 @@ func TestChannelDynamicScanPreservesPerVCOrder(t *testing.T) {
 	// destination while a later VC-0 flit would be accepted. The bypass
 	// switch makes that observable: it refuses a head whose output has
 	// no free VC but forwards a body flit whose VC row is routed.
-	n, err := New(testConfig(), uniformGen(t, testConfig(), 0.1, 1), nil)
+	cfg := testConfig()
+	n, err := New(cfg, uniformGen(t, cfg, 0.1, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r, p := n.routers[5], PortWest
 	head := &Flit{ID: 1, VC: 0, Type: FlitHead, Src: 4, Dst: 7}
 	route, _ := n.route(r, head)
-	for v := range r.out[route].vcBusy {
-		r.out[route].vcBusy[v] = true
+	for v := 0; v < cfg.VCs; v++ {
+		n.vcBusy[n.vcIndex(r.id, route, v)] = true
 	}
-	row := &r.in[p].vcs[0]
-	row.route, row.outVC = route, 0
+	row := &n.ivcs[n.vcIndex(r.id, p, 0)]
+	row.route, row.outVC = int8(route), 0
 	bypass := &chanSink{n: n, r: r, p: p}
 	ch2 := testChannel()
 	ch2.push(mkFlit(2, 0, FlitBody), 0)
@@ -246,33 +252,44 @@ func TestChannelEarliestReadyAcrossWrap(t *testing.T) {
 
 func TestRouterFreeVCRoundRobin(t *testing.T) {
 	cfg := testConfig()
-	op := newOutputPort(cfg, 1, PortWest, testChannel())
-	a := op.freeVC()
-	op.vcBusy[a] = true
-	b := op.freeVC()
+	cfg.VCs = 2
+	n, err := New(cfg, traffic.NewSliceGenerator(nil), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := n.routers[5]
+	slot := func(v int) int { return n.vcIndex(r.id, PortEast, v) }
+	a := n.freeVC(r, PortEast, -1, false)
+	n.vcBusy[slot(a)] = true
+	b := n.freeVC(r, PortEast, -1, false)
 	if a == b {
 		t.Fatal("freeVC must rotate among free VCs")
 	}
-	op.vcBusy[b] = true
-	if op.freeVC() != -1 {
+	n.vcBusy[slot(b)] = true
+	if n.freeVC(r, PortEast, -1, false) != -1 {
 		t.Fatal("all busy must return -1")
 	}
-	op.vcBusy[a] = false
-	op.credits[a] = 0
-	if op.freeVCWithCredit() != -1 {
+	n.vcBusy[slot(a)] = false
+	n.credits[slot(a)] = 0
+	if n.freeVC(r, PortEast, -1, true) != -1 {
 		t.Fatal("free VC without credit must not qualify")
 	}
-	op.credits[a] = 1
-	if op.freeVCWithCredit() != a {
+	n.credits[slot(a)] = 1
+	if n.freeVC(r, PortEast, -1, true) != a {
 		t.Fatal("free VC with credit must qualify")
+	}
+	// An ejection sink is uncredited: any free VC qualifies.
+	n.vcBusy[n.vcIndex(r.id, PortLocal, 0)] = true
+	if v := n.freeVC(r, PortLocal, -1, true); v != 1 {
+		t.Fatalf("ejection sink: freeVC = %d, want the free VC 1", v)
 	}
 }
 
 func TestInputVCReset(t *testing.T) {
 	var v inputVC
-	v.route, v.outVC, v.routedAt, v.vaAt = 3, 2, 10, 11
+	v.route, v.vcClass, v.outVC, v.routedAt, v.vaAt = 3, 1, 2, 10, 11
 	v.reset()
-	if v.route != -1 || v.outVC != -1 || v.routedAt != -1 || v.vaAt != -1 {
+	if v.route != -1 || v.vcClass != -1 || v.outVC != -1 || v.routedAt != -1 || v.vaAt != -1 {
 		t.Fatalf("reset incomplete: %+v", v)
 	}
 }
@@ -386,5 +403,14 @@ func TestConfigValidateBoundsVCs(t *testing.T) {
 	cfg.VCs = maxVCs
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("VCs=%d must validate: %v", cfg.VCs, err)
+	}
+	// The VC rings are allocated at full depth, so the depth is bounded.
+	cfg.BufDepth = maxBufDepth + 1
+	if err := cfg.Validate(); err == nil {
+		t.Fatalf("BufDepth=%d must be rejected", cfg.BufDepth)
+	}
+	cfg.BufDepth = maxBufDepth
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("BufDepth=%d must validate: %v", cfg.BufDepth, err)
 	}
 }

@@ -24,7 +24,7 @@ type Config struct {
 
 	// Router microarchitecture (Table 1).
 	VCs      int // virtual channels per port
-	BufDepth int // router-buffer slots per VC ("RB")
+	BufDepth int // router-buffer slots per VC ("RB"), at most 64
 	// ChannelStages is the per-port channel-buffer storage ("CB"):
 	// 0 for the baseline's plain wires, 8 for iDEAL/MFAC channels
 	// (two physical links × four stages).
@@ -130,6 +130,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("noc: at most %d VCs supported", maxVCs)
 	case c.BufDepth <= 0:
 		return fmt.Errorf("noc: need router buffer depth >= 1")
+	case c.BufDepth > maxBufDepth:
+		return fmt.Errorf("noc: at most %d router-buffer slots per VC supported", maxBufDepth)
 	case c.ChannelStages < 0:
 		return fmt.Errorf("noc: negative channel stages")
 	case c.FlitBits <= 0:

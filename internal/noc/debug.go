@@ -13,7 +13,7 @@ func (n *Network) DumpState(w io.Writer) {
 	for id, r := range n.routers {
 		busy := false
 		for p := 0; p < NumPorts; p++ {
-			if r.in[p] != nil && r.in[p].occupancy() > 0 {
+			if r.in[p] != nil && n.portOccupancy(id, p) > 0 {
 				busy = true
 			}
 			if r.in[p] != nil && r.in[p].ch != nil && r.in[p].ch.len() > 0 {
@@ -48,31 +48,31 @@ func (n *Network) DumpState(w io.Writer) {
 				}
 				fmt.Fprintln(w)
 			}
-			for v := range ip.vcs {
-				ivc := &ip.vcs[v]
-				if len(ivc.buf) == 0 && ivc.route < 0 {
+			for v := 0; v < n.cfg.VCs; v++ {
+				i := n.vcIndex(id, p, v)
+				ivc := &n.ivcs[i]
+				if ivc.n == 0 && ivc.route < 0 {
 					continue
 				}
 				fmt.Fprintf(w, "  in[%s].vc%d: route=%d outVC=%d buf=", PortName(p), v, ivc.route, ivc.outVC)
-				for _, f := range ivc.buf {
+				for k := 0; k < int(ivc.n); k++ {
+					f := n.vcAt(i, k)
 					fmt.Fprintf(w, "[pkt%d.%d %v]", f.PacketID, f.Seq, f.Type)
 				}
 				fmt.Fprintln(w)
 			}
 		}
 		for p := 0; p < NumPorts; p++ {
-			op := r.out[p]
-			if op == nil {
+			if r.out[p] == nil {
 				continue
 			}
-			anyBusy := false
-			for _, b := range op.vcBusy {
+			base := n.vcIndex(id, p, 0)
+			busy := n.vcBusy[base : base+n.cfg.VCs]
+			for _, b := range busy {
 				if b {
-					anyBusy = true
+					fmt.Fprintf(w, "  out[%s]: vcBusy=%v credits=%v\n", PortName(p), busy, n.credits[base:base+n.cfg.VCs])
+					break
 				}
-			}
-			if anyBusy {
-				fmt.Fprintf(w, "  out[%s]: vcBusy=%v credits=%v\n", PortName(p), op.vcBusy, op.credits)
 			}
 		}
 	}

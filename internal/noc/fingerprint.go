@@ -84,6 +84,7 @@ const (
 	fInWinFlitsIn
 	fInWinOccupancy
 	fVCRoute
+	fVCClass
 	fVCOutVC
 	fVCRoutedAt
 	fVCVaAt
@@ -92,6 +93,7 @@ const (
 	fChanLen
 	fChanReadyAt
 	fChanFlit
+	fChanVC
 	fOutCredit
 	fOutVCBusy
 	fOutSaRR
@@ -164,6 +166,7 @@ var stateFieldNames = [numStateFields]string{
 	fInWinFlitsIn:    "in.winFlitsIn",
 	fInWinOccupancy:  "in.winOccupancy",
 	fVCRoute:         "in.vc.route",
+	fVCClass:         "in.vc.vcClass",
 	fVCOutVC:         "in.vc.outVC",
 	fVCRoutedAt:      "in.vc.routedAt",
 	fVCVaAt:          "in.vc.vaAt",
@@ -172,6 +175,7 @@ var stateFieldNames = [numStateFields]string{
 	fChanLen:         "chan.len",
 	fChanReadyAt:     "chan.readyAt",
 	fChanFlit:        "chan.flit",
+	fChanVC:          "chan.vc",
 	fOutCredit:       "out.credit",
 	fOutVCBusy:       "out.vcBusy",
 	fOutSaRR:         "out.saRR",
@@ -312,15 +316,17 @@ func (n *Network) visitState(emit func(f stateField, router, a, b int, v uint64)
 			if ip := r.in[p]; ip != nil {
 				emit(fInWinFlitsIn, id, p, 0, ip.winFlitsIn)
 				emit(fInWinOccupancy, id, p, 0, n.winOcc[id*NumPorts+p])
-				for v := range ip.vcs {
-					ivc := &ip.vcs[v]
+				for v := 0; v < n.cfg.VCs; v++ {
+					i := n.vcIndex(id, p, v)
+					ivc := &n.ivcs[i]
 					emit(fVCRoute, id, p, v, uint64(int64(ivc.route)))
+					emit(fVCClass, id, p, v, uint64(int64(ivc.vcClass)))
 					emit(fVCOutVC, id, p, v, uint64(int64(ivc.outVC)))
 					emit(fVCRoutedAt, id, p, v, uint64(ivc.routedAt))
 					emit(fVCVaAt, id, p, v, uint64(ivc.vaAt))
-					emit(fVCBufLen, id, p, v, uint64(len(ivc.buf)))
-					for i, f := range ivc.buf {
-						emit(fVCBufFlit, id, p*maxVCs+v, i, flitKey(f))
+					emit(fVCBufLen, id, p, v, uint64(ivc.n))
+					for k := 0; k < int(ivc.n); k++ {
+						emit(fVCBufFlit, id, p*maxVCs+v, k, flitKey(n.vcAt(i, k)))
 					}
 				}
 				if ip.ch != nil {
@@ -329,15 +335,17 @@ func (n *Network) visitState(emit func(f stateField, router, a, b int, v uint64)
 						cf := ip.ch.at(i)
 						emit(fChanReadyAt, id, p, i, uint64(cf.readyAt))
 						emit(fChanFlit, id, p, i, flitKey(cf.flit))
+						emit(fChanVC, id, p, i, uint64(int64(cf.vc)))
 					}
 				}
 			}
 			if op := r.out[p]; op != nil {
-				for v := range op.credits {
-					emit(fOutCredit, id, p, v, uint64(int64(op.credits[v])))
-					emit(fOutVCBusy, id, p, v, u64b(op.vcBusy[v]))
-					emit(fOutShare, id, p, v, uint64(int64(op.share[v])))
-					emit(fOutWinVCFlits, id, p, v, op.winVCFlits[v])
+				for v := 0; v < n.cfg.VCs; v++ {
+					i := n.vcIndex(id, p, v)
+					emit(fOutCredit, id, p, v, uint64(int64(n.credits[i])))
+					emit(fOutVCBusy, id, p, v, u64b(n.vcBusy[i]))
+					emit(fOutShare, id, p, v, uint64(int64(n.share[i])))
+					emit(fOutWinVCFlits, id, p, v, n.winVCFlits[i])
 				}
 				emit(fOutSaRR, id, p, 0, uint64(int64(op.saRR)))
 				emit(fOutVaRR, id, p, 0, uint64(int64(op.vaRR)))

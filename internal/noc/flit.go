@@ -78,6 +78,11 @@ const NumModes = 5
 // fixed scratch arrays; Table 1 designs use at most 4).
 const maxVCs = 8
 
+// maxBufDepth bounds the router-buffer slots per VC. Every VC's ring is
+// allocated at full depth when the network is built, so the bound caps
+// that memory (Table 1 designs use at most 4 slots).
+const maxBufDepth = 64
+
 // String names the mode.
 func (m Mode) String() string {
 	switch m {

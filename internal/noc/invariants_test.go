@@ -140,8 +140,10 @@ func TestInvariantsParsecAllTechShapes(t *testing.T) {
 }
 
 // TestInvariantsCatchSlabCorruption checks that CheckInvariants audits the
-// occupied-VC masks and the earliest-ready slab mid-run, not only at
-// quiescence: one flipped mask bit or one stale slot must be reported.
+// occupied-VC masks, the earliest-ready slab, the input-VC records and
+// the credit slab mid-run, not only at quiescence: one flipped mask bit,
+// one stale slot, one ring out of range or one drifted credit must be
+// reported.
 func TestInvariantsCatchSlabCorruption(t *testing.T) {
 	cfg := channelConfig()
 	n, err := New(cfg, uniformGen(t, cfg, 0.3, 5000), nil)
@@ -171,6 +173,34 @@ func TestInvariantsCatchSlabCorruption(t *testing.T) {
 		t.Fatal("a stale earliest-ready slot went unreported")
 	}
 	n.inMinReady[slot] = saved
+
+	ivc := &n.ivcs[n.vcIndex(5, PortWest, 1)]
+	head := ivc.head
+	ivc.head = int32(cfg.BufDepth)
+	if err := n.CheckInvariants(); err == nil {
+		t.Fatal("a VC ring head outside BufDepth went unreported")
+	}
+	ivc.head = head
+	length := ivc.n
+	ivc.n = int32(cfg.BufDepth) + 1
+	if err := n.CheckInvariants(); err == nil {
+		t.Fatal("a VC holding more than BufDepth flits went unreported")
+	}
+	ivc.n = length
+
+	credit := n.vcIndex(5, PortEast, 1)
+	n.credits[credit]--
+	if err := n.CheckInvariants(); err == nil {
+		t.Fatal("a leaked credit went unreported mid-run")
+	}
+	n.credits[credit]++
+	sink := n.vcIndex(5, PortLocal, 0)
+	n.credits[sink] = 0
+	if err := n.CheckInvariants(); err == nil {
+		t.Fatal("an ejection sink without the uncredited sentinel went unreported")
+	}
+	n.credits[sink] = uncredited
+
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatalf("restored network: %v", err)
 	}

@@ -141,6 +141,42 @@ type Network struct {
 	portOcc []int32
 	winOcc  []uint64
 
+	// Slot-indexed router slabs: every per-(router, port, VC) pipeline
+	// word, one contiguous network-wide array per field, indexed by
+	// vcIndex(id, p, v) = id*NumPorts*VCs + p*VCs + v. Within a router
+	// row, p*VCs+v is the rOccVC / request-mask bit, so the SA, VA and RC
+	// scans read row[slot] with no division and no pointer walk. Input
+	// side: ivcs holds each VC's pipeline record and ring head/length,
+	// and vcBuf its BufDepth ring entries (VC i owns
+	// vcBuf[i*BufDepth:(i+1)*BufDepth]), so buffers never allocate after
+	// New. Output side (p is the output port): credits are the free
+	// downstream slots per VC — the flow control when there is no
+	// channel storage; with channel buffers, channel occupancy is the
+	// back-pressure — with ejection sinks holding the uncredited
+	// sentinel; share is each VC's current credit capacity (the static
+	// vcCredits split until a BufferController repartitions the channel
+	// stages, see applyBufferAction; credits reconverge to it at
+	// quiescence); vcBusy marks downstream VCs allocated to a packet of
+	// this router (released when the tail departs); winVCFlits counts
+	// window transmissions per VC, the demand signal the buffer actions
+	// reallocate by. Like rOccVC, every row is written only by its own
+	// router's phases — except credits, which switch-allocation pops and
+	// bypass forwards return upstream from the coordinator's in-order
+	// commit pass — so the multi-shard phases stay race-free.
+	ivcs       []inputVC
+	vcBuf      []*Flit
+	credits    []int32
+	share      []int32
+	vcBusy     []bool
+	winVCFlits []uint64
+	// Port and channel slabs (nodes×NumPorts, row-major by router id):
+	// Router.in/out point into inPorts/outPorts, or are nil where the
+	// topology wires no link; chans holds each link's channel at its
+	// receiving (router, port).
+	inPorts  []inputPort
+	outPorts []outputPort
+	chans    []Channel
+
 	injector *fault.Injector
 	rng      *rand.Rand
 	// payloadRng drives everything that exists only when VerifyPayloads
@@ -281,9 +317,11 @@ func New(cfg Config, gen traffic.Generator, ctrl Controller) (*Network, error) {
 	n.buildTopology()
 	n.refreshLinkRates()
 	pp := power.DefaultParams()
+	nics := make([]nic, nodes)
 	for i := 0; i < nodes; i++ {
 		n.meters[i] = power.NewMeter(pp, cfg.routerPowerConfig())
-		n.nics[i] = &nic{curVC: -1}
+		nics[i].curVC = -1
+		n.nics[i] = &nics[i]
 	}
 	// Static policies apply from cycle 0; adaptive controllers start
 	// from their own initial mode (SetInitialMode) and take over at the
@@ -294,61 +332,87 @@ func New(cfg Config, gen traffic.Generator, ctrl Controller) (*Network, error) {
 	return n, nil
 }
 
+// buildTopology carves the routers, ports, channels and the slot-indexed
+// slabs from one allocation each. The channel rings alone grow lazily:
+// preallocating them was measured to cost more setup time and resident
+// memory than it saved.
 func (n *Network) buildTopology() {
-	cfg := n.cfg
 	nodes := n.topo.Nodes()
-	n.routers = make([]*Router, nodes)
+	slots := nodes * NumPorts * n.cfg.VCs
+	n.ivcs = make([]inputVC, slots)
+	for i := range n.ivcs {
+		n.ivcs[i].reset()
+	}
+	n.vcBuf = make([]*Flit, slots*n.cfg.BufDepth)
+	n.credits = make([]int32, slots)
+	n.share = make([]int32, slots)
+	n.vcBusy = make([]bool, slots)
+	n.winVCFlits = make([]uint64, slots)
+	n.inPorts = make([]inputPort, nodes*NumPorts)
+	n.outPorts = make([]outputPort, nodes*NumPorts)
+	n.chans = make([]Channel, nodes*NumPorts)
 	for i := range n.inMinReady {
 		n.inMinReady[i] = noReady
 	}
-	for id := 0; id < nodes; id++ {
+	routers := make([]Router, nodes)
+	n.routers = make([]*Router, nodes)
+	for id := range routers {
 		x, y := n.topo.Coords(id)
-		r := &Router{
+		r := &routers[id]
+		*r = Router{
 			id: id, x: x, y: y,
 			mode: ModeSECDED, bypassLock: -1,
 			lastScheme: ecc.SchemeSECDED,
 		}
 		// Local input port always exists (injection).
-		r.in[PortLocal] = newInputPort(cfg, nil, nil)
+		r.in[PortLocal] = n.newInputPort(id, PortLocal, nil, -1)
 		// Local output port: ejection sink (no channel) unless the
 		// topology rewires it as a real link below (chiplet interposer
-		// routers spend theirs on the vertical entry-node link).
-		r.out[PortLocal] = newOutputPort(cfg, -1, -1, nil)
+		// routers spend theirs on the vertical entry-node link), which
+		// rewrites the port's slab rows too.
+		r.out[PortLocal] = n.newOutputPort(id, PortLocal, -1, -1, nil)
 		n.routers[id] = r
 	}
-	// Wire links; each direction gets its own channel, whose
-	// earliest-ready slot belongs to the receiving input port.
-	for id := 0; id < nodes; id++ {
-		r := n.routers[id]
+	// Wire links; each direction gets its own channel, stored at and
+	// keeping its earliest-ready slot for the receiving input port.
+	for id, r := range n.routers {
 		for p := 0; p < NumPorts; p++ {
 			nb, nbPort := n.topo.Link(id, p)
 			if nb < 0 {
 				continue
 			}
-			// Channel occupancy is governed by per-VC credits, not
-			// a hard FIFO bound (see newOutputPort).
-			ch := newChannel(&n.inMinReady[nb*NumPorts+nbPort])
-			r.out[p] = newOutputPort(cfg, nb, nbPort, ch)
-			n.routers[nb].in[nbPort] = newInputPort(cfg, r.out[p].credits, ch)
+			k := nb*NumPorts + nbPort
+			ch := &n.chans[k]
+			ch.minReady = &n.inMinReady[k]
+			r.out[p] = n.newOutputPort(id, p, nb, nbPort, ch)
+			n.routers[nb].in[nbPort] = n.newInputPort(nb, nbPort, ch, n.vcIndex(id, p, 0))
 		}
 	}
 }
 
-func newInputPort(cfg Config, upCredits []int, ch *Channel) *inputPort {
-	ip := &inputPort{ch: ch, upCredits: upCredits, vcs: make([]inputVC, cfg.VCs)}
-	for v := range ip.vcs {
-		ip.vcs[v].reset()
-	}
+// newInputPort initializes router id's input port p in the port slab;
+// upCredits is the credit-slab index of the feeding output port's VC 0
+// (-1 for none).
+func (n *Network) newInputPort(id, p int, ch *Channel, upCredits int) *inputPort {
+	ip := &n.inPorts[id*NumPorts+p]
+	*ip = inputPort{ch: ch, upCredits: upCredits}
 	return ip
 }
 
-func newOutputPort(cfg Config, downRouter, downPort int, ch *Channel) *outputPort {
-	op := &outputPort{ch: ch, downRouter: downRouter, downPort: downPort,
-		credits: make([]int, cfg.VCs), share: make([]int, cfg.VCs),
-		vcBusy: make([]bool, cfg.VCs), winVCFlits: make([]uint64, cfg.VCs)}
-	for v := range op.credits {
-		op.credits[v] = vcCredits(&cfg, v)
-		op.share[v] = op.credits[v]
+// newOutputPort initializes router id's output port p in the port slab
+// and its credit and share rows. Channel occupancy is governed by the
+// per-VC credits, not a hard FIFO bound; ports without a channel are
+// ejection sinks and hold the uncredited sentinel.
+func (n *Network) newOutputPort(id, p, downRouter, downPort int, ch *Channel) *outputPort {
+	op := &n.outPorts[id*NumPorts+p]
+	*op = outputPort{ch: ch, downRouter: downRouter, downPort: downPort}
+	base := n.vcIndex(id, p, 0)
+	for v := 0; v < n.cfg.VCs; v++ {
+		n.share[base+v] = int32(vcCredits(&n.cfg, v))
+		n.credits[base+v] = n.share[base+v]
+		if ch == nil {
+			n.credits[base+v] = uncredited
+		}
 	}
 	return op
 }
@@ -785,23 +849,25 @@ func (n *Network) staticJoules(id int) float64 {
 // the delivery events) go through slot and commit after the phase.
 func (n *Network) deliverChannels(r *Router, cy int64, slot *shardSlot) {
 	base := r.id * NumPorts
+	vcs := n.cfg.VCs
 	for p := 0; p < NumPorts; p++ {
 		if n.inMinReady[base+p] > cy {
 			continue
 		}
-		ip := r.in[p]
-		sink := chanSink{vcs: ip.vcs, depth: n.cfg.BufDepth}
-		idx := ip.ch.peekReady(cy, n.cfg.DynamicChannelAlloc, &sink)
+		ch := &n.chans[base+p]
+		vc0 := (base + p) * vcs
+		sink := chanSink{vcs: n.ivcs[vc0 : vc0+vcs], depth: int32(n.cfg.BufDepth)}
+		idx := ch.peekReady(cy, n.cfg.DynamicChannelAlloc, &sink)
 		if idx < 0 {
 			continue
 		}
-		vc := ip.ch.at(idx).vc
-		f := ip.ch.remove(idx)
-		ip.vcs[vc].buf = append(ip.vcs[vc].buf, f)
-		n.rOccVC[r.id] |= 1 << (p*n.cfg.VCs + vc)
+		vc := ch.at(idx).vc
+		f := ch.remove(idx)
+		n.vcPush(vc0+vc, f)
+		n.rOccVC[r.id] |= 1 << (p*vcs + vc)
 		n.rBufCount[r.id]++
 		n.portOcc[base+p]++
-		ip.winFlitsIn++
+		n.inPorts[base+p].winFlitsIn++
 		n.meters[r.id].BufWrite()
 		slot.buffered++
 		slot.progress = true
@@ -835,10 +901,11 @@ func (n *Network) saStage(r *Router, cy int64) {
 // router's input VCs).
 func (n *Network) saBuild(r *Router, req *[NumPorts]uint64) {
 	*req = [NumPorts]uint64{}
-	vcs := n.cfg.VCs
+	base := n.vcIndex(r.id, 0, 0)
+	row := n.ivcs[base : base+NumPorts*n.cfg.VCs]
 	for m := n.rOccVC[r.id]; m != 0; m &= m - 1 {
 		slot := bits.TrailingZeros64(m)
-		ivc := &r.in[slot/vcs].vcs[slot%vcs]
+		ivc := &row[slot]
 		if ivc.route < 0 || ivc.outVC < 0 {
 			continue
 		}
@@ -851,11 +918,19 @@ func (n *Network) saBuild(r *Router, req *[NumPorts]uint64) {
 // are visible to higher-numbered routers within the same cycle, so a
 // multi-shard tick runs all commits on the coordinator in router-index
 // order — exactly the fused schedule — after the parallel build phase.
+//
+// One flit leaves each input port per cycle: used collects the slots of
+// every input port already granted, and is cleared from each later
+// output's request mask before it arbitrates. That is exact — a
+// requester arbitrateOutput skips has no side effects.
 func (n *Network) saCommit(r *Router, cy int64, req *[NumPorts]uint64) {
-	var inputUsed [NumPorts]bool
+	var used uint64
+	portMask := uint64(1)<<n.cfg.VCs - 1
 	for outP := 0; outP < NumPorts; outP++ {
-		if req[outP] != 0 {
-			n.arbitrateOutput(r, r.out[outP], cy, &inputUsed, req[outP])
+		if rq := req[outP] &^ used; rq != 0 {
+			if inP := n.arbitrateOutput(r, outP, cy, rq); inP >= 0 {
+				used |= portMask << (inP * n.cfg.VCs)
+			}
 		}
 	}
 }
@@ -869,97 +944,118 @@ func rrNext(req uint64, from int) int {
 	return bits.TrailingZeros64(req)
 }
 
-// arbitrateOutput grants output port op to the first eligible requester
-// in circular slot order from the round-robin pointer. Every eligibility
-// test is side-effect-free, and the credit and VA-timing checks come
-// before any flit load, so blocked requesters never touch flit memory.
-func (n *Network) arbitrateOutput(r *Router, op *outputPort, cy int64, inputUsed *[NumPorts]bool, req uint64) {
+// arbitrateOutput grants output port outP to the first eligible
+// requester in circular slot order from the round-robin pointer, and
+// returns the granted input port (-1 if none). Every eligibility test is
+// side-effect-free, and the credit and VA-timing checks come before any
+// flit load, so blocked requesters never touch flit memory. Candidates
+// are read from the router's slab rows by slot; the input port and VC are
+// decoded only for the grant.
+func (n *Network) arbitrateOutput(r *Router, outP int, cy int64, req uint64) int {
 	vcs := n.cfg.VCs
+	op := r.out[outP]
+	base := n.vcIndex(r.id, 0, 0)
+	row := n.ivcs[base : base+NumPorts*vcs]
+	// Credit-based flow control: the flit needs a reserved slot in the
+	// downstream VC's combined channel+buffer storage. Ejection sinks
+	// hold the uncredited sentinel, so they always pass.
+	credits := n.credits[base+outP*vcs : base+(outP+1)*vcs]
 	for req != 0 {
 		slot := rrNext(req, op.saRR)
 		req &^= 1 << slot
-		inP, vc := slot/vcs, slot%vcs
-		if inputUsed[inP] {
+		ivc := &row[slot]
+		outVC := int(ivc.outVC)
+		if credits[outVC] <= 0 {
 			continue
 		}
-		ip := r.in[inP]
-		ivc := &ip.vcs[vc]
-		// Credit-based flow control: the flit needs a reserved slot in
-		// the downstream VC's combined channel+buffer storage. Ejection
-		// sinks (ports with no outgoing channel) are uncredited.
-		if op.ch != nil && op.credits[ivc.outVC] <= 0 {
-			continue
-		}
-		f := ivc.buf[0]
-		if ivc.vaAt >= cy && f.Type.IsHead() {
+		if ivc.vaAt >= cy && n.vcAt(base+slot, 0).Type.IsHead() {
 			continue // VA completed this very cycle; SA is next cycle
 		}
-		// Grant: pop the flit and traverse. Shifting down (rather than
-		// re-slicing forward) keeps the buffer's capacity anchored so
-		// the append on delivery never reallocates in steady state.
-		last := len(ivc.buf) - 1
-		copy(ivc.buf, ivc.buf[1:])
-		ivc.buf[last] = nil
-		ivc.buf = ivc.buf[:last]
-		if last == 0 {
+		// Grant: pop the flit and traverse.
+		f := n.vcPop(base + slot)
+		inP, vc := slot/vcs, slot%vcs
+		if ivc.n == 0 {
 			n.rOccVC[r.id] &^= 1 << slot
 		}
 		n.rBufCount[r.id]--
 		n.portOcc[r.id*NumPorts+inP]--
 		n.bufferedFlits--
-		inputUsed[inP] = true
 		op.saRR = (slot + 1) % (NumPorts * vcs)
 		if f.Type.IsHead() {
-			if pi := n.packets.get(f.PacketID); pi != nil {
-				pi.path = append(pi.path, uint16(r.id))
-			}
+			n.recordHop(f, r.id)
 		}
 		n.meters[r.id].Switch()
 		// The freed channel+buffer slot's credit returns upstream.
-		if ip.upCredits != nil {
-			ip.upCredits[vc]++
+		if up := r.in[inP].upCredits; up >= 0 {
+			n.credits[up+vc]++
 		}
-		outVC := ivc.outVC
 		if f.Type.IsTail() {
-			op.vcBusy[outVC] = false
+			n.vcBusy[base+outP*vcs+outVC] = false
 			ivc.reset()
 		}
 		if op.ch == nil {
 			n.eject(r, f, cy)
 		} else {
 			f.VC = outVC
-			op.credits[outVC]--
-			op.winVCFlits[outVC]++
+			credits[outVC]--
+			n.winVCFlits[base+outP*vcs+outVC]++
 			n.emitFlit(cy, EvTraverse, r.id, f)
 			n.sendOnLink(r, op, f, cy)
 		}
 		n.lastProgress = cy
+		return inP
+	}
+	return -1
+}
+
+// recordHop appends router id to the forwarding path of head flit f's
+// packet. A path is at most the topology's diameter plus one routers
+// long, so its first use sizes it for that instead of doubling up; the
+// capacity survives the packet record's recycling.
+func (n *Network) recordHop(f *Flit, id int) {
+	pi := n.packets.get(f.PacketID)
+	if pi == nil {
 		return
 	}
+	if cap(pi.path) == 0 {
+		pi.path = make([]uint16, 0, n.topo.Diameter()+1)
+	}
+	pi.path = append(pi.path, uint16(id))
 }
 
 // vaStage allocates output VCs to routed head flits.
 func (n *Network) vaStage(r *Router, cy int64) {
-	vcs := n.cfg.VCs
+	base := n.vcIndex(r.id, 0, 0)
+	row := n.ivcs[base : base+NumPorts*n.cfg.VCs]
 	for m := n.rOccVC[r.id]; m != 0; m &= m - 1 {
 		slot := bits.TrailingZeros64(m)
-		ivc := &r.in[slot/vcs].vcs[slot%vcs]
+		ivc := &row[slot]
 		if ivc.route < 0 || ivc.outVC >= 0 {
 			continue
 		}
 		if ivc.routedAt >= cy {
 			continue // RC finished this cycle; VA is next cycle
 		}
-		if !ivc.buf[0].Type.IsHead() {
+		if !n.vcAt(base+slot, 0).Type.IsHead() {
 			continue
 		}
-		op := r.out[ivc.route]
-		if free := op.freeVCIn(ivc.vcClass, n.vcClasses); free >= 0 {
-			op.vcBusy[free] = true
-			ivc.outVC = free
-			ivc.vaAt = cy
-		}
+		n.allocVC(r, ivc, cy, false)
 	}
+}
+
+// allocVC grants routed input VC ivc a free downstream VC of its output
+// port in its dateline class — with withCredit, one that also holds a
+// credit (see freeVC) — and reports whether it got one.
+func (n *Network) allocVC(r *Router, ivc *inputVC, cy int64, withCredit bool) bool {
+	outP := int(ivc.route)
+	free := n.freeVC(r, outP, int(ivc.vcClass), withCredit)
+	if free < 0 {
+		return false
+	}
+	n.vcBusy[n.vcIndex(r.id, outP, free)] = true
+	ivc.outVC = int8(free)
+	ivc.vaAt = cy
+	return true
 }
 
 // rcStage routes head flits that just reached the head of their VC. The
@@ -968,23 +1064,25 @@ func (n *Network) vaStage(r *Router, cy int64) {
 // pre-banked rcDraws; one shard draws inline from the stream, in the same
 // order.
 func (n *Network) rcStage(r *Router, cy int64, slot *shardSlot) {
-	vcs := n.cfg.VCs
+	base := n.vcIndex(r.id, 0, 0)
+	row := n.ivcs[base : base+NumPorts*n.cfg.VCs]
 	for m := n.rOccVC[r.id]; m != 0; m &= m - 1 {
 		s := bits.TrailingZeros64(m)
-		ivc := &r.in[s/vcs].vcs[s%vcs]
+		ivc := &row[s]
 		if ivc.route >= 0 {
 			continue
 		}
-		f := ivc.buf[0]
+		f := n.vcAt(base+s, 0)
 		if !f.Type.IsHead() {
 			continue
 		}
-		ivc.route, ivc.vcClass = n.route(r, f)
+		route, class := n.route(r, f)
+		ivc.route, ivc.vcClass = int8(route), int8(class)
 		ivc.routedAt = cy
 		if n.cfg.ControlFaultRate > 0 {
 			var draw float64
 			if n.shardCount > 1 {
-				draw = n.rcDraws[r.id*NumPorts*vcs+s]
+				draw = n.rcDraws[base+s]
 			} else {
 				draw = n.rng.Float64()
 			}
@@ -999,18 +1097,11 @@ func (n *Network) rcStage(r *Router, cy int64, slot *shardSlot) {
 				slot.controlFaults++
 			}
 		}
-		if !n.cfg.HasVAStage {
+		if !n.cfg.HasVAStage && !n.allocVC(r, ivc, cy, false) {
 			// EB-style routers fold VC selection into RC,
-			// eliminating the VA stage.
-			op := r.out[ivc.route]
-			if free := op.freeVCIn(ivc.vcClass, n.vcClasses); free >= 0 {
-				op.vcBusy[free] = true
-				ivc.outVC = free
-				ivc.vaAt = cy
-			} else {
-				// Retry allocation in later cycles.
-				ivc.route = -1
-			}
+			// eliminating the VA stage; without a free VC, retry
+			// allocation in later cycles.
+			ivc.route = -1
 		}
 	}
 }
@@ -1024,22 +1115,20 @@ func (n *Network) rcStage(r *Router, cy int64, slot *shardSlot) {
 // never changes a VC's buffered flits or clears its route, so running VA
 // first (as the phase does per router) cannot change who qualifies.
 func (n *Network) predrawControlFaults() {
-	vcs := n.cfg.VCs
-	stride := NumPorts * vcs
 	if n.rcDraws == nil {
-		n.rcDraws = make([]float64, len(n.routers)*stride)
+		n.rcDraws = make([]float64, len(n.ivcs))
 	}
-	for id, r := range n.routers {
+	for id := range n.routers {
 		if !n.active(id) {
 			continue
 		}
+		base := n.vcIndex(id, 0, 0)
 		for m := n.rOccVC[id]; m != 0; m &= m - 1 {
-			slot := bits.TrailingZeros64(m)
-			ivc := &r.in[slot/vcs].vcs[slot%vcs]
-			if ivc.route >= 0 || !ivc.buf[0].Type.IsHead() {
+			i := base + bits.TrailingZeros64(m)
+			if n.ivcs[i].route >= 0 || !n.vcAt(i, 0).Type.IsHead() {
 				continue
 			}
-			n.rcDraws[id*stride+slot] = n.rng.Float64()
+			n.rcDraws[i] = n.rng.Float64()
 		}
 	}
 }
@@ -1059,22 +1148,18 @@ func (n *Network) bypassStep(r *Router, cy int64) {
 }
 
 // bypassCanForward reports (without side effects) whether the bypass
-// switch could forward flit f right now.
+// switch could forward flit f right now. Ejection needs a free output VC
+// but no credits; its uncredited sentinel always passes the credit test.
 func (n *Network) bypassCanForward(r *Router, p int, f *Flit) bool {
 	if f.Type.IsHead() {
 		route, class := n.route(r, f)
-		op := r.out[route]
-		if op.ch == nil {
-			// Ejection needs a free output VC but no credits.
-			return op.freeVCIn(class, n.vcClasses) >= 0
-		}
-		return op.freeVCWithCreditIn(class, n.vcClasses) >= 0
+		return n.freeVC(r, route, class, true) >= 0
 	}
-	ivc := &r.in[p].vcs[f.VC]
+	ivc := &n.ivcs[n.vcIndex(r.id, p, f.VC)]
 	if ivc.route < 0 {
 		return false // no BST row: wait for state (should not happen)
 	}
-	return r.out[ivc.route].ch == nil || r.out[ivc.route].credits[ivc.outVC] > 0
+	return n.credits[n.vcIndex(r.id, int(ivc.route), int(ivc.outVC))] > 0
 }
 
 // tryBypassPort attempts to forward one flit arriving at input port p.
@@ -1112,28 +1197,16 @@ func (n *Network) tryBypassPort(r *Router, p int, cy int64) bool {
 		f = ip.ch.at(chIdx).flit
 	}
 
-	ivc := &r.in[p].vcs[f.VC]
+	ivc := &n.ivcs[n.vcIndex(r.id, p, f.VC)]
 	if f.Type.IsHead() {
 		route, class := n.route(r, f)
-		op := r.out[route]
-		var free int
-		if op.ch == nil {
-			free = op.freeVCIn(class, n.vcClasses)
-		} else {
-			free = op.freeVCWithCreditIn(class, n.vcClasses)
-		}
-		op.vcBusy[free] = true
-		ivc.outVC = free
-		ivc.route = route
-		ivc.vcClass = class
-		ivc.routedAt, ivc.vaAt = cy, cy
+		ivc.route, ivc.vcClass = int8(route), int8(class)
+		ivc.routedAt = cy
+		n.allocVC(r, ivc, cy, true) // bypassCanForward saw a free VC
+		n.recordHop(f, r.id)
 	}
-	route, outVC := ivc.route, ivc.outVC
-	if f.Type.IsHead() {
-		if pi := n.packets.get(f.PacketID); pi != nil {
-			pi.path = append(pi.path, uint16(r.id))
-		}
-	}
+	route, outVC := int(ivc.route), int(ivc.outVC)
+	out := n.vcIndex(r.id, route, outVC)
 
 	// Commit: consume the flit from its source.
 	if fromNIC {
@@ -1144,12 +1217,12 @@ func (n *Network) tryBypassPort(r *Router, p int, cy int64) bool {
 		ip := r.in[p]
 		ip.ch.remove(chIdx)
 		ip.winFlitsIn++
-		if ip.upCredits != nil {
-			ip.upCredits[f.VC]++
+		if ip.upCredits >= 0 {
+			n.credits[ip.upCredits+f.VC]++
 		}
 	}
 	if f.Type.IsTail() {
-		r.out[route].vcBusy[outVC] = false
+		n.vcBusy[out] = false
 		ivc.reset()
 	}
 	if r.out[route].ch == nil {
@@ -1157,8 +1230,8 @@ func (n *Network) tryBypassPort(r *Router, p int, cy int64) bool {
 		return true
 	}
 	f.VC = outVC
-	r.out[route].credits[outVC]--
-	r.out[route].winVCFlits[outVC]++
+	n.credits[out]--
+	n.winVCFlits[out]++
 	n.emitFlit(cy, EvBypass, r.id, f)
 	n.sendOnLink(r, r.out[route], f, cy)
 	return true
@@ -1459,10 +1532,10 @@ func (n *Network) peekNICFlit(r *Router, q *nic, cy int64) (*Flit, bool) {
 		// doesn't buffer locally, so any VC whose BST row is free
 		// works. The active path additionally needs buffer space,
 		// checked by the caller.
-		ip := r.in[PortLocal]
+		local := n.vcIndex(r.id, PortLocal, 0)
 		for i := 0; i < n.cfg.VCs; i++ {
 			v := (q.vcRR + i) % n.cfg.VCs
-			if len(ip.vcs[v].buf) == 0 && ip.vcs[v].route < 0 {
+			if ivc := &n.ivcs[local+v]; ivc.n == 0 && ivc.route < 0 {
 				q.curVC = v
 				q.vcRR = (v + 1) % n.cfg.VCs
 				break
@@ -1576,13 +1649,13 @@ func (n *Network) injectStep(r *Router, q *nic, cy int64) {
 	if !ok {
 		return
 	}
-	ivc := &r.in[PortLocal].vcs[f.VC]
-	if len(ivc.buf) >= n.cfg.BufDepth {
+	i := n.vcIndex(r.id, PortLocal, f.VC)
+	if int(n.ivcs[i].n) >= n.cfg.BufDepth {
 		n.recycleFlit(f) // the next peek makes a fresh one
 		return
 	}
 	n.consumeNICFlit(r, q)
-	ivc.buf = append(ivc.buf, f)
+	n.vcPush(i, f)
 	n.rOccVC[r.id] |= 1 << (PortLocal*n.cfg.VCs + f.VC)
 	n.rBufCount[r.id]++
 	n.portOcc[r.id*NumPorts+PortLocal]++
@@ -1697,11 +1770,10 @@ func (n *Network) controlStep() {
 			}
 			if op := r.out[p]; op != nil {
 				op.winFlitsOut = 0
-				for v := range op.winVCFlits {
-					op.winVCFlits[v] = 0
-				}
 			}
 		}
+		base := n.vcIndex(i, 0, 0)
+		clear(n.winVCFlits[base : base+NumPorts*n.cfg.VCs])
 	}
 }
 
@@ -1721,14 +1793,17 @@ func (n *Network) applyBufferAction(r *Router, act int) {
 		if op == nil || op.ch == nil {
 			continue // ejection sinks are uncredited
 		}
+		base := n.vcIndex(r.id, p, 0)
+		demand := n.winVCFlits[base : base+vcs]
+		credits, share := n.credits[base:base+vcs], n.share[base:base+vcs]
 		var alloc [maxVCs]int
 		switch act {
 		case BufActionDemand:
-			apportionByDemand(alloc[:vcs], op.winVCFlits, stages)
+			apportionByDemand(alloc[:vcs], demand, stages)
 		case BufActionConcentrate:
 			best := 0
 			for v := 1; v < vcs; v++ {
-				if op.winVCFlits[v] > op.winVCFlits[best] {
+				if demand[v] > demand[best] {
 					best = v
 				}
 			}
@@ -1736,7 +1811,7 @@ func (n *Network) applyBufferAction(r *Router, act int) {
 		case BufActionReserve:
 			active := 0
 			for v := 0; v < vcs; v++ {
-				if op.winVCFlits[v] > 0 {
+				if demand[v] > 0 {
 					active++
 				}
 			}
@@ -1745,7 +1820,7 @@ func (n *Network) applyBufferAction(r *Router, act int) {
 			} else {
 				i := 0
 				for v := 0; v < vcs; v++ {
-					if op.winVCFlits[v] > 0 {
+					if demand[v] > 0 {
 						alloc[v] = stages / active
 						if i < stages%active {
 							alloc[v]++
@@ -1758,9 +1833,9 @@ func (n *Network) applyBufferAction(r *Router, act int) {
 			evenSplit(alloc[:vcs], stages)
 		}
 		for v := 0; v < vcs; v++ {
-			newShare := n.cfg.BufDepth + alloc[v]
-			op.credits[v] += newShare - op.share[v]
-			op.share[v] = newShare
+			newShare := int32(n.cfg.BufDepth + alloc[v])
+			credits[v] += newShare - share[v]
+			share[v] = newShare
 		}
 	}
 }
@@ -1827,11 +1902,15 @@ func (n *Network) applyMode(r *Router, mode Mode) {
 	n.flushStatic(r)
 }
 
-// CheckInvariants validates the network's conservation laws. On a fully
-// drained network every credit must have returned, every output VC must
-// be released, and every buffer, channel and NIC must be empty; at any
-// time, no packet flit may have been delivered out of order. It returns
-// nil when all invariants hold.
+// CheckInvariants validates the network's conservation laws. At any
+// time: no packet flit may have been delivered out of order; the O(1)
+// counters, the occupied-VC masks and the earliest-ready slab must mirror
+// the buffers and channels; every VC ring must lie within BufDepth; and
+// every credited output VC's credits plus the flits it has in flight
+// downstream must equal its share. On a fully drained network every
+// output VC must also be released, and every buffer, channel and NIC must
+// be empty (so every credit has returned). It returns nil when all
+// invariants hold.
 func (n *Network) CheckInvariants() error {
 	if n.orderViolations > 0 {
 		return fmt.Errorf("noc: %d out-of-order flit deliveries", n.orderViolations)
@@ -1840,6 +1919,9 @@ func (n *Network) CheckInvariants() error {
 	// all times — the pipeline-skip and fast-forward paths rely on them.
 	// So must the occupied-VC masks and the earliest-ready slab, which
 	// the pipeline and delivery scans trust to skip idle VCs and ports.
+	// The fixed-capacity rings rely on the BufDepth bound that delivery
+	// and injection enforce.
+	vcs, depth := n.cfg.VCs, n.cfg.BufDepth
 	total := 0
 	for id, r := range n.routers {
 		cnt := 0
@@ -1848,11 +1930,22 @@ func (n *Network) CheckInvariants() error {
 			occ := 0
 			minReady := int64(noReady)
 			if ip := r.in[p]; ip != nil {
-				occ = ip.occupancy()
-				for v := range ip.vcs {
-					if len(ip.vcs[v].buf) > 0 {
-						occVC |= 1 << (p*n.cfg.VCs + v)
+				for v := 0; v < vcs; v++ {
+					i := n.vcIndex(id, p, v)
+					ivc := &n.ivcs[i]
+					if ivc.n < 0 || int(ivc.n) > depth || ivc.head < 0 || int(ivc.head) >= depth {
+						return fmt.Errorf("noc: router %d %s vc%d ring head %d length %d outside BufDepth %d",
+							id, PortName(p), v, ivc.head, ivc.n, depth)
 					}
+					for k := 0; k < int(ivc.n); k++ {
+						if n.vcAt(i, k) == nil {
+							return fmt.Errorf("noc: router %d %s vc%d ring entry %d is empty", id, PortName(p), v, k)
+						}
+					}
+					if ivc.n > 0 {
+						occVC |= 1 << (p*vcs + v)
+					}
+					occ += int(ivc.n)
 				}
 				if ip.ch != nil {
 					minReady = ip.ch.scanMinReady()
@@ -1879,53 +1972,88 @@ func (n *Network) CheckInvariants() error {
 	if total != n.bufferedFlits {
 		return fmt.Errorf("noc: bufferedFlits = %d, buffers hold %d", n.bufferedFlits, total)
 	}
+	if err := n.checkCredits(); err != nil {
+		return err
+	}
 	if !n.Drained() {
 		return nil // the remaining checks only hold at quiescence
 	}
-	// At quiescence every credited output port must hold exactly its
-	// current per-VC capacity (op.share — the static vcCredits split
-	// unless a buffer agent repartitioned it), and the port total must
-	// conserve the full VCs*BufDepth + ChannelStages storage (remainder
-	// stages included — the ChannelStages%VCs != 0 case used to leak them
-	// silently; buffer actions move stages between VCs but never create
-	// or destroy them).
-	wantPortCredits := n.cfg.VCs*n.cfg.BufDepth + n.cfg.ChannelStages
 	for id, r := range n.routers {
 		for p := 0; p < NumPorts; p++ {
 			if ip := r.in[p]; ip != nil {
 				if ip.ch != nil && ip.ch.len() != 0 {
 					return fmt.Errorf("noc: router %d %s channel holds %d flits after drain", id, PortName(p), ip.ch.len())
 				}
-				for v := range ip.vcs {
-					if len(ip.vcs[v].buf) != 0 {
-						return fmt.Errorf("noc: router %d %s vc%d buffer not empty after drain", id, PortName(p), v)
-					}
+				if occ := n.portOccupancy(id, p); occ != 0 {
+					return fmt.Errorf("noc: router %d %s buffers hold %d flits after drain", id, PortName(p), occ)
 				}
 			}
-			op := r.out[p]
-			if op == nil {
+			if r.out[p] == nil {
 				continue
 			}
-			portCredits := 0
-			for v := range op.vcBusy {
-				if op.vcBusy[v] {
+			for v := 0; v < vcs; v++ {
+				if n.vcBusy[n.vcIndex(id, p, v)] {
 					return fmt.Errorf("noc: router %d %s vc%d still allocated after drain", id, PortName(p), v)
 				}
-				if op.ch != nil {
-					if want := op.share[v]; op.credits[v] != want {
-						return fmt.Errorf("noc: router %d %s vc%d credits = %d, want %d",
-							id, PortName(p), v, op.credits[v], want)
-					}
-					portCredits += op.credits[v]
-				}
-			}
-			if op.ch != nil && portCredits != wantPortCredits {
-				return fmt.Errorf("noc: router %d %s credit sum = %d, want %d (VCs*BufDepth + ChannelStages)",
-					id, PortName(p), portCredits, wantPortCredits)
 			}
 		}
 		if n.nics[id].pending() {
 			return fmt.Errorf("noc: router %d NIC still pending after drain", id)
+		}
+	}
+	return nil
+}
+
+// checkCredits audits the credit slab. An ejection sink must hold the
+// uncredited sentinel. A credited output VC's credit is taken when a flit
+// is sent and returned when the flit leaves the downstream router's
+// channel+buffer storage, so at every step boundary its credits plus the
+// flits of that VC in the channel and in the downstream input VC's buffer
+// equal its share (the current capacity; credits may go transiently
+// negative after a buffer action shrinks it). The port's shares always
+// sum to the full VCs*BufDepth + ChannelStages storage: buffer actions
+// move stages between VCs but never create or destroy them (the
+// ChannelStages%VCs != 0 remainder included).
+func (n *Network) checkCredits() error {
+	vcs := n.cfg.VCs
+	wantPortShare := vcs*n.cfg.BufDepth + n.cfg.ChannelStages
+	for id, r := range n.routers {
+		for p := 0; p < NumPorts; p++ {
+			op := r.out[p]
+			if op == nil {
+				continue
+			}
+			base := n.vcIndex(id, p, 0)
+			if op.ch == nil {
+				for v := 0; v < vcs; v++ {
+					if c := n.credits[base+v]; c != uncredited {
+						return fmt.Errorf("noc: router %d %s vc%d ejection credits = %d, want the uncredited sentinel",
+							id, PortName(p), v, c)
+					}
+				}
+				continue
+			}
+			var held [maxVCs]int
+			for k := 0; k < op.ch.len(); k++ {
+				vc := op.ch.at(k).vc
+				if vc < 0 || vc >= vcs {
+					return fmt.Errorf("noc: router %d %s channel entry %d on vc%d, outside %d VCs", id, PortName(p), k, vc, vcs)
+				}
+				held[vc]++
+			}
+			portShare := 0
+			for v := 0; v < vcs; v++ {
+				held[v] += int(n.ivcs[n.vcIndex(op.downRouter, op.downPort, v)].n)
+				if c, sh := int(n.credits[base+v]), int(n.share[base+v]); c+held[v] != sh {
+					return fmt.Errorf("noc: router %d %s vc%d credits = %d with %d flits held downstream, want share %d",
+						id, PortName(p), v, c, held[v], sh)
+				}
+				portShare += int(n.share[base+v])
+			}
+			if portShare != wantPortShare {
+				return fmt.Errorf("noc: router %d %s credit share sum = %d, want %d (VCs*BufDepth + ChannelStages)",
+					id, PortName(p), portShare, wantPortShare)
+			}
 		}
 	}
 	return nil

@@ -181,3 +181,29 @@ func fastNetworkInvariants(t *testing.T, mut func(*Config)) error {
 	}
 	return n.CheckInvariants()
 }
+
+// TestNewAllocatesPerRouter pins New's memory layout: every per-port and
+// per-VC structure is carved from network-wide slabs, so the object count
+// does not depend on the VC count, and each router adds a small constant
+// (its power meter) on top of the network-wide objects.
+func TestNewAllocatesPerRouter(t *testing.T) {
+	allocs := func(side, vcs int) float64 {
+		cfg := testConfig()
+		cfg.Width, cfg.Height = side, side
+		cfg.VCs = vcs
+		return testing.AllocsPerRun(5, func() {
+			if _, err := New(cfg, traffic.NewSliceGenerator(nil), nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a2, a8 := allocs(8, 2), allocs(8, 8)
+	if a2 != a8 {
+		t.Fatalf("8x8 New allocates %v objects at 2 VCs but %v at 8: some structure is still per port×VC", a2, a8)
+	}
+	const perRouter = 2
+	small := allocs(4, 2)
+	if per := (a2 - small) / (64 - 16); per > perRouter {
+		t.Fatalf("New allocates %.2f objects per router (4x4: %v, 8x8: %v), want at most %d", per, small, a2, perRouter)
+	}
+}

@@ -1,25 +1,34 @@
 package noc
 
 import (
+	"math"
+
 	"intellinoc/internal/ecc"
 	"intellinoc/internal/stats"
 )
 
-// inputVC is one virtual-channel FIFO at a router input port, together
-// with the pipeline state of the packet currently at its head.
+// inputVC is the pipeline state of one input virtual channel, together
+// with the head and length of its flit ring. The records live in one
+// network-wide slab, Network.ivcs, indexed by vcIndex(id, p, v) =
+// id*NumPorts*VCs + p*VCs + v: the bit numbering of rOccVC and of the
+// switch-allocation request masks, so a mask scan addresses its router's
+// row directly. The ring itself is the matching BufDepth-entry stretch of
+// Network.vcBuf.
 type inputVC struct {
-	buf []*Flit
-	// route is the output port of the packet at the head (-1 until RC).
-	route int
-	// vcClass is the dateline VC class the topology assigned to the
-	// head packet's next hop (-1 = unrestricted), set alongside route.
-	vcClass int
-	// outVC is the downstream VC granted by VA (-1 until allocated).
-	outVC int
 	// routedAt is the cycle RC completed, enforcing the one-cycle VA
 	// stage; vaAt is the cycle VA completed, enforcing SA timing.
 	routedAt int64
 	vaAt     int64
+	// head is the ring index of the oldest buffered flit; n counts the
+	// buffered flits (0 <= n <= BufDepth).
+	head, n int32
+	// route is the output port of the packet at the head (-1 until RC).
+	route int8
+	// vcClass is the dateline VC class the topology assigned to the
+	// head packet's next hop (-1 = unrestricted), set alongside route.
+	vcClass int8
+	// outVC is the downstream VC granted by VA (-1 until allocated).
+	outVC int8
 }
 
 func (v *inputVC) reset() {
@@ -28,14 +37,16 @@ func (v *inputVC) reset() {
 	v.routedAt, v.vaAt = -1, -1
 }
 
-// inputPort is one of the five router input ports.
+// inputPort is one of the five router input ports. Its VC records and
+// buffers are rows of the network slabs (Network.ivcs, Network.vcBuf),
+// addressed by the router id and port.
 type inputPort struct {
 	ch *Channel // incoming link (nil for the local port)
-	// upCredits aliases the upstream output port's per-VC credits (nil
-	// for local/edge ports): a switch-allocation pop returns the freed
-	// slot's credit through it without chasing the upstream router.
-	upCredits []int
-	vcs       []inputVC
+	// upCredits is the credit-slab index (Network.credits) of VC 0 of the
+	// upstream output port feeding ch, or -1 for local/edge ports: a
+	// switch-allocation pop returns the freed slot's credit through it
+	// without chasing the upstream router.
+	upCredits int
 
 	// winFlitsIn counts window deliveries for the RL state vector. The
 	// companion summed-occupancy counter lives in Network.winOcc — the
@@ -44,97 +55,99 @@ type inputPort struct {
 	winFlitsIn uint64
 }
 
-func (ip *inputPort) occupancy() int {
-	n := 0
-	for i := range ip.vcs {
-		n += len(ip.vcs[i].buf)
-	}
-	return n
-}
-
-// outputPort is one of the five router output ports.
+// outputPort is one of the five router output ports. Its per-VC state —
+// credits, share, vcBusy and winVCFlits — lives in the network slabs of
+// the same names, indexed like the input VCs by vcIndex(id, p, v).
 type outputPort struct {
 	ch         *Channel // outgoing link (nil for local ejection / edge)
 	downRouter int      // -1 for local/edge
 	downPort   int      // input port index at the downstream router
-	// credits tracks free downstream router-buffer slots per VC; it is
-	// the flow-control mechanism when there is no channel storage
-	// (baseline wires). With channel buffers, channel occupancy itself
-	// is the back-pressure and credits are unused.
-	credits []int
-	// share is each VC's current credit capacity: the static vcCredits
-	// split until a BufferController repartitions the channel stages
-	// (applyBufferAction). credits always reconverge to share at
-	// quiescence; CheckInvariants enforces it.
-	share []int
-	// vcBusy marks downstream VCs currently allocated to a packet of
-	// this router (released when the tail flit departs).
-	vcBusy []bool
-	saRR   int // switch-allocation round-robin pointer
-	vaRR   int // VC-allocation round-robin pointer
+	saRR       int      // switch-allocation round-robin pointer
+	vaRR       int      // VC-allocation round-robin pointer
 
 	winFlitsOut uint64
-	// winVCFlits counts window transmissions per VC — the per-VC demand
-	// signal BufActionDemand/Concentrate/Reserve reallocate by.
-	winVCFlits []uint64
 }
 
-func (op *outputPort) freeVC() int {
-	for i := 0; i < len(op.vcBusy); i++ {
-		v := (op.vaRR + i) % len(op.vcBusy)
-		if !op.vcBusy[v] {
-			op.vaRR = (v + 1) % len(op.vcBusy)
-			return v
+// uncredited is the credit-slab value of an ejection sink's VCs (output
+// ports with no channel). Ejection needs no credit, so the sentinel
+// passes every "credits > 0" test and is never decremented: the switch
+// allocator and the bypass checks need not load the port to learn it is
+// a sink.
+const uncredited = math.MaxInt32
+
+// vcIndex is the slab index of VC v at port p of router id.
+func (n *Network) vcIndex(id, p, v int) int { return (id*NumPorts+p)*n.cfg.VCs + v }
+
+// freeVC returns the first output VC of router r's port p, in
+// round-robin order from the port's vaRR, that is unallocated, belongs to
+// the dateline VC class (VC v is in class v % classes; class < 0 is
+// unrestricted) and — with withCredit — holds a credit, and advances vaRR
+// past it; -1 if there is none. The bypass switch asks for a credit
+// because it allocates and transmits in the same cycle; ejection sinks
+// always pass (uncredited).
+func (n *Network) freeVC(r *Router, p, class int, withCredit bool) int {
+	op := r.out[p]
+	vcs := n.cfg.VCs
+	base := n.vcIndex(r.id, p, 0)
+	busy := n.vcBusy[base : base+vcs]
+	credits := n.credits[base : base+vcs]
+	for i := 0; i < vcs; i++ {
+		v := (op.vaRR + i) % vcs
+		if busy[v] || (class >= 0 && v%n.vcClasses != class) || (withCredit && credits[v] <= 0) {
+			continue
 		}
+		op.vaRR = (v + 1) % vcs
+		return v
 	}
 	return -1
 }
 
-// freeVCWithCredit is freeVC restricted to VCs that can also accept a
-// flit immediately — the bypass switch allocates and transmits in the
-// same cycle, so it needs both.
-func (op *outputPort) freeVCWithCredit() int {
-	for i := 0; i < len(op.vcBusy); i++ {
-		v := (op.vaRR + i) % len(op.vcBusy)
-		if !op.vcBusy[v] && op.credits[v] > 0 {
-			op.vaRR = (v + 1) % len(op.vcBusy)
-			return v
-		}
+// vcAt returns the k-th buffered flit of input VC i (slab index),
+// counting from the oldest (0 <= k < n).
+func (n *Network) vcAt(i, k int) *Flit {
+	depth := n.cfg.BufDepth
+	j := int(n.ivcs[i].head) + k
+	if j >= depth {
+		j -= depth
 	}
-	return -1
+	return n.vcBuf[i*depth+j]
 }
 
-// freeVCIn is freeVC restricted to the topology's dateline VC class
-// (VC v belongs to class v % classes); class < 0 is the unrestricted
-// path, byte-for-byte the legacy round-robin so mesh results stay
-// bit-identical.
-func (op *outputPort) freeVCIn(class, classes int) int {
-	if class < 0 {
-		return op.freeVC()
+// vcPush appends f to input VC i's ring. Callers have checked that the
+// VC holds fewer than BufDepth flits.
+func (n *Network) vcPush(i int, f *Flit) {
+	ivc := &n.ivcs[i]
+	depth := n.cfg.BufDepth
+	j := int(ivc.head + ivc.n)
+	if j >= depth {
+		j -= depth
 	}
-	for i := 0; i < len(op.vcBusy); i++ {
-		v := (op.vaRR + i) % len(op.vcBusy)
-		if v%classes == class && !op.vcBusy[v] {
-			op.vaRR = (v + 1) % len(op.vcBusy)
-			return v
-		}
-	}
-	return -1
+	n.vcBuf[i*depth+j] = f
+	ivc.n++
 }
 
-// freeVCWithCreditIn is freeVCWithCredit restricted to a VC class.
-func (op *outputPort) freeVCWithCreditIn(class, classes int) int {
-	if class < 0 {
-		return op.freeVCWithCredit()
+// vcPop removes and returns input VC i's oldest flit.
+func (n *Network) vcPop(i int) *Flit {
+	ivc := &n.ivcs[i]
+	depth := n.cfg.BufDepth
+	k := i*depth + int(ivc.head)
+	f := n.vcBuf[k]
+	n.vcBuf[k] = nil // release the reference for the flit free-list
+	if ivc.head++; int(ivc.head) == depth {
+		ivc.head = 0
 	}
-	for i := 0; i < len(op.vcBusy); i++ {
-		v := (op.vaRR + i) % len(op.vcBusy)
-		if v%classes == class && !op.vcBusy[v] && op.credits[v] > 0 {
-			op.vaRR = (v + 1) % len(op.vcBusy)
-			return v
-		}
+	ivc.n--
+	return f
+}
+
+// portOccupancy sums the buffered flits of router id's input port p.
+func (n *Network) portOccupancy(id, p int) int {
+	occ := 0
+	base := n.vcIndex(id, p, 0)
+	for _, ivc := range n.ivcs[base : base+n.cfg.VCs] {
+		occ += int(ivc.n)
 	}
-	return -1
+	return occ
 }
 
 // Router is one mesh router. The per-cycle hot fields — power state

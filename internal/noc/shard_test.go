@@ -106,6 +106,45 @@ func TestFingerprintCoversMeterEvents(t *testing.T) {
 	}
 }
 
+// TestFingerprintCoversVCClassAndChannelVC flips an input VC's dateline
+// class and a queued channel entry's recorded VC, as a slab drifting in
+// either word would: each must change the fingerprint, and restoring it
+// must restore the fingerprint.
+func TestFingerprintCoversVCClassAndChannelVC(t *testing.T) {
+	n := steadyNetwork(t, testConfig(), 1)
+	for i := 0; i < 500; i++ {
+		n.Step()
+	}
+	base := n.Fingerprint()
+
+	ivc := &n.ivcs[n.vcIndex(5, PortWest, 1)]
+	ivc.vcClass ^= 1
+	if n.Fingerprint() == base {
+		t.Fatal("fingerprint ignores inputVC.vcClass")
+	}
+	ivc.vcClass ^= 1
+	if n.Fingerprint() != base {
+		t.Fatal("restoring vcClass did not restore the fingerprint")
+	}
+
+	for i := range n.chans {
+		if n.chans[i].len() == 0 {
+			continue
+		}
+		cf := n.chans[i].at(0)
+		cf.vc ^= 1
+		if n.Fingerprint() == base {
+			t.Fatal("fingerprint ignores the channel entry's recorded VC")
+		}
+		cf.vc ^= 1
+		if n.Fingerprint() != base {
+			t.Fatal("restoring the channel entry's VC did not restore the fingerprint")
+		}
+		return
+	}
+	t.Fatal("no channel holds a flit mid-run; the test lost its coverage")
+}
+
 // TestShardedLockstepFingerprint is the tentpole's bit-identity gate: a
 // sequential network and a sharded one built from the same seed must
 // agree on every fingerprinted state word at every step boundary, run

@@ -252,3 +252,53 @@ func TestDegenerateMeshesEndToEnd(t *testing.T) {
 		})
 	}
 }
+
+// TestTopologyInvariantsMidRun audits CheckInvariants every few cycles and
+// after drain on every topology family, plain-wire and channel-buffered:
+// the mesh-only invariant tests never reach the torus datelines, the
+// routerless loops, or the chiplet interposer routers, whose local port
+// is a link — so its slab rows must be the link's credits, not the
+// ejection sink's sentinel.
+func TestTopologyInvariantsMidRun(t *testing.T) {
+	for _, g := range topologyGeometries() {
+		for _, buffered := range []bool{false, true} {
+			name := fmt.Sprintf("%s-%dx%d", g.spec, g.w, g.h)
+			if buffered {
+				name += "-chan"
+			}
+			t.Run(name, func(t *testing.T) {
+				cfg := topoConfig(g.spec, g.w, g.h)
+				if buffered {
+					cfg.BufDepth = 2
+					cfg.ChannelStages = 8
+					cfg.DynamicChannelAlloc = true
+					cfg.MFAC = true
+				}
+				const packets = 600
+				n, err := New(cfg, uniformGen(t, cfg, 0.25, packets), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				busy := false
+				for step := 0; !n.Drained(); step++ {
+					if n.Cycle() > 1_000_000 {
+						t.Fatalf("not drained by cycle %d", n.Cycle())
+					}
+					n.Step()
+					busy = busy || n.bufferedFlits > 0
+					if step%5 == 0 {
+						if err := n.CheckInvariants(); err != nil {
+							t.Fatalf("cycle %d: %v", n.Cycle(), err)
+						}
+					}
+				}
+				if !busy {
+					t.Fatal("no flit was ever buffered; the mid-run audits covered nothing")
+				}
+				if err := n.CheckInvariants(); err != nil {
+					t.Fatalf("after drain: %v", err)
+				}
+			})
+		}
+	}
+}
