@@ -31,9 +31,10 @@ type Channel struct {
 	n    int
 	// minReady points at this channel's Network.inMinReady slot: the
 	// earliest readyAt among the queued flits, noReady when empty. push
-	// and remove keep it exact, so the per-cycle delivery, wake and
-	// fast-forward scans read one slab word per port instead of walking
-	// the ring.
+	// and remove keep it exact, so the delivery scan reads one slab word
+	// per port instead of walking the ring; the network folds each
+	// router's slots into its rMinReady word after every push and
+	// removal.
 	minReady *int64
 }
 

@@ -152,3 +152,113 @@ func TestDependencyWindowWithBypass(t *testing.T) {
 		t.Fatal("bypass policy should gate")
 	}
 }
+
+// windowRecorder keeps every observation it is shown. It cycles each
+// router through modes, one step per window and offset by the router id,
+// so a bypass design has routers gating, waking and buffering side by
+// side.
+type windowRecorder struct {
+	modes  []Mode
+	window int64
+	obs    []Observation
+}
+
+func (c *windowRecorder) NextMode(o Observation) Mode {
+	c.obs = append(c.obs, o)
+	return c.modes[(int(o.Cycle/c.window)+o.Router)%len(c.modes)]
+}
+
+// TestWindowObservationsMatchPerCycleSums checks the banked window and
+// gated-cycle counters against sums taken cycle by cycle from outside the
+// tick: after every Step the test adds each input port's buffer occupancy
+// and the gated-router count, weighted by the cycles the Step advanced
+// (fast-forwards included, whose spans leave both unchanged). Every
+// window observation's occupancy feature and the run's GatedCycles must
+// match those sums exactly, under closed-loop Parsec traffic on the
+// baseline, CP-gated and bypass designs.
+func TestWindowObservationsMatchPerCycleSums(t *testing.T) {
+	cases := []struct {
+		name  string
+		modes []Mode
+		mut   func(*Config)
+	}{
+		{"baseline", []Mode{ModeSECDED}, func(*Config) {}},
+		{"cp-gated", []Mode{ModeSECDED}, func(cfg *Config) {
+			cfg.PowerGating = true
+			cfg.IdleGateCycles = 24
+		}},
+		{"bypass", []Mode{ModeBypass, ModeSECDED}, func(cfg *Config) {
+			cfg.BufDepth = 2
+			cfg.ChannelStages = 8
+			cfg.DynamicChannelAlloc = true
+			cfg.MFAC = true
+			cfg.PowerGating = true
+			cfg.Bypass = true
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.DependencyWindow = 1
+			cfg.TimeStepCycles = 200
+			tc.mut(&cfg)
+			gen, err := traffic.NewParsec("canneal", cfg.Width, cfg.Height, 1500, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := &windowRecorder{modes: tc.modes, window: int64(cfg.TimeStepCycles)}
+			n, err := New(cfg, gen, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.SetInitialMode(tc.modes[0])
+			win := float64(cfg.TimeStepCycles)
+			capacity := float64(cfg.VCs * cfg.BufDepth)
+			sums := make([]uint64, len(n.routers)*NumPorts)
+			var gated, occupied uint64
+			for !n.Drained() && n.Cycle() < 2_000_000 {
+				before, seen := n.Cycle(), len(rec.obs)
+				n.Step()
+				d := uint64(n.Cycle() - before)
+				for k := range sums {
+					occ := uint64(n.portOccupancy(k/NumPorts, k%NumPorts)) * d
+					sums[k] += occ
+					occupied += occ
+				}
+				for _, g := range n.rGated {
+					if g {
+						gated += d
+					}
+				}
+				if got := n.Snapshot().GatedCycles; got != gated {
+					t.Fatalf("cycle %d: GatedCycles = %d, per-cycle sum %d", n.Cycle(), got, gated)
+				}
+				if len(rec.obs) == seen {
+					continue
+				}
+				for _, o := range rec.obs[seen:] {
+					for p := 0; p < NumPorts; p++ {
+						if n.routers[o.Router].in[p] == nil {
+							continue
+						}
+						want := float64(sums[o.Router*NumPorts+p]) / win / capacity
+						if got := o.Features[5+p]; got != want {
+							t.Fatalf("cycle %d router %d %s: occupancy feature %v, per-cycle sum gives %v",
+								o.Cycle, o.Router, PortName(p), got, want)
+						}
+					}
+				}
+				clear(sums)
+			}
+			if !n.Drained() {
+				t.Fatal("run did not drain")
+			}
+			if len(rec.obs) == 0 || occupied == 0 {
+				t.Fatalf("%d observations over %d flit-cycles of occupancy: the check compared nothing", len(rec.obs), occupied)
+			}
+			if cfg.PowerGating && gated == 0 {
+				t.Fatal("no router gated: the gated-cycle check compared nothing")
+			}
+		})
+	}
+}

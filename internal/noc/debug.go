@@ -33,7 +33,7 @@ func (n *Network) DumpState(w io.Writer) {
 			if q.cur != nil {
 				cur = fmt.Sprintf("pkt%d flit %d/%d vc=%d", q.cur.id, q.nextIdx, q.cur.flits, q.curVC)
 			}
-			fmt.Fprintf(w, "  nic: queued=%d cur=%s\n", len(q.queue), cur)
+			fmt.Fprintf(w, "  nic: queued=%d cur=%s\n", q.queued(), cur)
 		}
 		for p := 0; p < NumPorts; p++ {
 			ip := r.in[p]

@@ -38,6 +38,7 @@ const (
 	fOrderViolations
 	fControlFaults
 	fGatedCycles
+	fNGated
 	fErrHist
 	fModeBreakdown
 	fTempSum
@@ -120,6 +121,7 @@ var stateFieldNames = [numStateFields]string{
 	fOrderViolations: "orderViolations",
 	fControlFaults:   "controlFaults",
 	fGatedCycles:     "gatedCycles",
+	fNGated:          "nGated",
 	fErrHist:         "errHist",
 	fModeBreakdown:   "modeBreakdown",
 	fTempSum:         "tempSum",
@@ -241,6 +243,7 @@ func (n *Network) visitState(emit func(f stateField, router, a, b int, v uint64)
 	emit(fOrderViolations, -1, 0, 0, n.orderViolations)
 	emit(fControlFaults, -1, 0, 0, n.controlFaults)
 	emit(fGatedCycles, -1, 0, 0, n.gatedCycles)
+	emit(fNGated, -1, 0, 0, uint64(int64(n.nGated)))
 	for i, c := range n.errHist {
 		emit(fErrHist, -1, i, 0, c)
 	}
@@ -275,8 +278,8 @@ func (n *Network) visitState(emit func(f stateField, router, a, b int, v uint64)
 	}
 
 	for id, q := range n.nics {
-		emit(fNICQueueLen, id, 0, 0, uint64(len(q.queue)))
-		for i, j := range q.queue {
+		emit(fNICQueueLen, id, 0, 0, uint64(q.queued()))
+		for i, j := range q.queue[q.head:] {
 			emit(fNICQueueJob, id, i, 0, jobKey(j))
 		}
 		cur := uint64(0)
@@ -301,7 +304,7 @@ func (n *Network) visitState(emit func(f stateField, router, a, b int, v uint64)
 		emit(fRBypassLock, id, 0, 0, uint64(int64(r.bypassLock)))
 		emit(fRBypassRR, id, 0, 0, uint64(int64(r.bypassRR)))
 		emit(fRBufCount, id, 0, 0, uint64(int64(n.rBufCount[id])))
-		emit(fRStaticCycles, id, 0, 0, n.rStatic[id])
+		emit(fRStaticCycles, id, 0, 0, n.staticSpan(id))
 		emit(fRLastScheme, id, 0, 0, uint64(r.lastScheme))
 		emit(fRLastGated, id, 0, 0, u64b(r.lastGated))
 		emit(fRWinEjectLat, id, 0, 0, r.winEjectLatency.Count)
@@ -315,7 +318,7 @@ func (n *Network) visitState(emit func(f stateField, router, a, b int, v uint64)
 		for p := 0; p < NumPorts; p++ {
 			if ip := r.in[p]; ip != nil {
 				emit(fInWinFlitsIn, id, p, 0, ip.winFlitsIn)
-				emit(fInWinOccupancy, id, p, 0, n.winOcc[id*NumPorts+p])
+				emit(fInWinOccupancy, id, p, 0, n.runningWinOcc(id*NumPorts+p))
 				for v := 0; v < n.cfg.VCs; v++ {
 					i := n.vcIndex(id, p, v)
 					ivc := &n.ivcs[i]

@@ -140,10 +140,11 @@ func TestInvariantsParsecAllTechShapes(t *testing.T) {
 }
 
 // TestInvariantsCatchSlabCorruption checks that CheckInvariants audits the
-// occupied-VC masks, the earliest-ready slab, the input-VC records and
-// the credit slab mid-run, not only at quiescence: one flipped mask bit,
-// one stale slot, one ring out of range or one drifted credit must be
-// reported.
+// occupied-VC masks, the earliest-ready slabs, the input-VC records, the
+// credit slab and the words that bank per-cycle accounting or skip idle
+// routers and NICs mid-run, not only at quiescence: one flipped mask bit,
+// one stale slot, one ring out of range, one drifted credit or count, an
+// underpaid window counter or a NIC wrongly held back must be reported.
 func TestInvariantsCatchSlabCorruption(t *testing.T) {
 	cfg := channelConfig()
 	n, err := New(cfg, uniformGen(t, cfg, 0.3, 5000), nil)
@@ -200,6 +201,54 @@ func TestInvariantsCatchSlabCorruption(t *testing.T) {
 		t.Fatal("an ejection sink without the uncredited sentinel went unreported")
 	}
 	n.credits[sink] = uncredited
+
+	// The words that bank per-cycle accounting and let the tick skip
+	// idle routers and NICs.
+	savedMin := n.rMinReady[5]
+	n.rMinReady[5] = n.cycle + 1000
+	if savedMin != noReady {
+		n.rMinReady[5] = noReady
+	}
+	if err := n.CheckInvariants(); err == nil {
+		t.Fatal("a stale per-router earliest-ready word went unreported")
+	}
+	n.rMinReady[5] = savedMin
+
+	n.nGated++
+	if err := n.CheckInvariants(); err == nil {
+		t.Fatal("a drifted gated-router count went unreported")
+	}
+	n.nGated--
+
+	k := 0
+	for k < len(n.portOcc) && n.portOcc[k] == 0 {
+		k++
+	}
+	if k == len(n.portOcc) {
+		t.Fatal("every input port is empty; the prepaid check would not be exercised")
+	}
+	savedOcc := n.winOcc[k]
+	n.winOcc[k] = uint64(n.portOcc[k])*uint64(n.winEnd-n.cycle) - 1
+	if err := n.CheckInvariants(); err == nil {
+		t.Fatal("a window occupancy prepaid below the current occupancy went unreported")
+	}
+	n.winOcc[k] = savedOcc
+
+	ready := -1
+	for id, q := range n.nics {
+		if n.nicWake(q) <= n.cycle {
+			ready = id
+			break
+		}
+	}
+	if ready < 0 {
+		t.Fatal("no NIC could inject; the eligibility check would not be exercised")
+	}
+	n.nicReady[ready] = noReady
+	if err := n.CheckInvariants(); err == nil {
+		t.Fatal("a NIC that could inject but holds a future eligibility word went unreported")
+	}
+	n.nicReady[ready] = n.nicWake(n.nics[ready])
 
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatalf("restored network: %v", err)

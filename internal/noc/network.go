@@ -78,7 +78,14 @@ func (t *packetTable) delete(id uint64) {
 // a time into the local input port (or the bypass switch when the local
 // router is gated).
 type nic struct {
+	// queue[head:] holds the packets waiting to start, oldest first. A
+	// closed loop backs hundreds of packets up per NIC, so popping
+	// advances head instead of shifting the queue down, and the dead
+	// prefix is compacted away once it is half the slice: O(1) amortized
+	// per pop, with the capacity anchored (a re-slicing pop would strand
+	// the front and make later appends reallocate).
 	queue   []*packetJob
+	head    int
 	cur     *packetJob
 	curVC   int
 	nextIdx int
@@ -90,7 +97,37 @@ type nic struct {
 	seenAny       bool
 }
 
-func (q *nic) pending() bool { return q.cur != nil || len(q.queue) > 0 }
+func (q *nic) pending() bool { return q.cur != nil || q.queued() > 0 }
+
+// queued returns the number of packets waiting to start.
+func (q *nic) queued() int { return len(q.queue) - q.head }
+
+// popFront removes the oldest waiting packet; the queue must be
+// non-empty.
+func (q *nic) popFront() *packetJob {
+	j := q.queue[q.head]
+	q.queue[q.head] = nil
+	q.head++
+	if 2*q.head >= len(q.queue) {
+		live := copy(q.queue, q.queue[q.head:])
+		clear(q.queue[live:])
+		q.queue, q.head = q.queue[:live], 0
+	}
+	return j
+}
+
+// pushFront puts a packet ahead of every waiting one (an end-to-end
+// retry).
+func (q *nic) pushFront(j *packetJob) {
+	if q.head > 0 {
+		q.head--
+		q.queue[q.head] = j
+		return
+	}
+	q.queue = append(q.queue, nil)
+	copy(q.queue[1:], q.queue)
+	q.queue[0] = j
+}
 
 // Network is one simulated NoC instance. It is not safe for concurrent
 // use; run one Network per goroutine.
@@ -116,12 +153,26 @@ type Network struct {
 	// Struct-of-arrays router state: the fields every per-cycle scan
 	// touches, pulled out of the pointer-heavy Router structs into flat
 	// slabs indexed by router id so shard scans walk contiguous memory
-	// and the accounting phase is pure slab arithmetic.
-	rGated    []bool   // router body power-gated
-	rWaking   []int32  // wake-up countdown (0 = not waking)
-	rIdle     []int32  // CP-style idle streak toward the gate threshold
-	rBufCount []int32  // total flits across the router's input VC buffers
-	rStatic   []uint64 // cycles accumulated in the current static state
+	// and each phase reads one word per router to learn whether the
+	// router has work.
+	rGated    []bool  // router body power-gated
+	rWaking   []int32 // wake-up countdown (0 = not waking)
+	rIdle     []int32 // CP-style idle streak toward the gate threshold
+	rBufCount []int32 // total flits across the router's input VC buffers
+	// rBypassMode mirrors Router.mode == ModeBypass (written only by
+	// applyMode), so the bypass-design power phase finds the routers
+	// that may gate without loading the Router structs.
+	rBypassMode []bool
+	// staticFrom is the cycle each router's current static-power state
+	// began: the unbanked static span is cycle - staticFrom, and
+	// flushStatic banks it and restarts the span at the current cycle, so
+	// no phase touches idle routers to count their static cycles.
+	staticFrom []int64
+	// nGated counts the routers with rGated set. rGated changes only in
+	// the power phase, whose transitions commit their delta after it, so
+	// the gated-cycle total grows by nGated once per tick (k*nGated per
+	// fast-forward) instead of by a per-router scan.
+	nGated int
 	// rOccVC is each router's occupied-VC mask: bit p*VCs+v is set
 	// exactly when input VC (p, v) holds a flit, so the SA/VA/RC scans
 	// visit only non-empty VCs, in the port-major, VC-minor order of a
@@ -130,16 +181,32 @@ type Network struct {
 	// inMinReady holds, per input channel (nodes×NumPorts, row-major by
 	// router id), the earliest readyAt among its queued flits, or noReady
 	// when the channel is empty or absent. Channel.push/remove keep it
-	// exact; the delivery, wake and fast-forward scans read it instead of
-	// the rings.
+	// exact; the delivery scan reads it instead of the rings. rMinReady
+	// is the minimum of each router's row, kept exact by linkPush and
+	// refreshMinReady: delivery skips a router whose word lies in the
+	// future, and the wake, idle-gate and fast-forward checks read it
+	// instead of the row.
 	inMinReady []int64
+	rMinReady  []int64
 	// portOcc mirrors each input port's buffer occupancy (nodes×NumPorts,
-	// row-major by router id); winOcc is the matching per-window
-	// summed-occupancy counter the RL observation reads. Both are
-	// maintained incrementally at the three buffer-mutation sites
-	// (channel delivery, NIC injection, switch-allocation pop).
+	// row-major by router id). winOcc is the matching per-window
+	// summed-occupancy counter the RL observation reads, held prepaid:
+	// occAdd charges a change of d flits at cycle cy as d*(winEnd-cy),
+	// its contribution to every remaining cycle of the window, so at the
+	// window's close winOcc is the per-cycle sum with no per-cycle work.
+	// Mid-window the sum so far is winOcc - portOcc*(winEnd-cycle)
+	// (runningWinOcc). winEnd is the cycle of the next control boundary.
 	portOcc []int32
 	winOcc  []uint64
+	winEnd  int64
+	// nicReady is each NIC's eligibility word: the earliest cycle at
+	// which injectStep could change anything (noReady while the NIC is
+	// empty or waits on its dependency window; a past cycle while it
+	// streams a packet). nicWake recomputes it wherever the NIC's queue,
+	// window or current packet changes (admission, an end-to-end retry,
+	// a window-freeing ejection, a packet's start and its last flit), so
+	// the injection phase calls injectStep only where it is <= cy.
+	nicReady []int64
 
 	// Slot-indexed router slabs: every per-(router, port, VC) pipeline
 	// word, one contiguous network-wide array per field, indexed by
@@ -297,15 +364,19 @@ func New(cfg Config, gen traffic.Generator, ctrl Controller) (*Network, error) {
 		linkRateRelaxed: make([]fault.FlitRate, nodes),
 		powersBuf:       make([]float64, nodes),
 
-		rGated:     make([]bool, nodes),
-		rWaking:    make([]int32, nodes),
-		rIdle:      make([]int32, nodes),
-		rBufCount:  make([]int32, nodes),
-		rStatic:    make([]uint64, nodes),
-		rOccVC:     make([]uint64, nodes),
-		inMinReady: make([]int64, nodes*NumPorts),
-		portOcc:    make([]int32, nodes*NumPorts),
-		winOcc:     make([]uint64, nodes*NumPorts),
+		rGated:      make([]bool, nodes),
+		rWaking:     make([]int32, nodes),
+		rIdle:       make([]int32, nodes),
+		rBufCount:   make([]int32, nodes),
+		rBypassMode: make([]bool, nodes),
+		staticFrom:  make([]int64, nodes),
+		rOccVC:      make([]uint64, nodes),
+		inMinReady:  make([]int64, nodes*NumPorts),
+		rMinReady:   make([]int64, nodes),
+		portOcc:     make([]int32, nodes*NumPorts),
+		winOcc:      make([]uint64, nodes*NumPorts),
+		winEnd:      int64(cfg.TimeStepCycles),
+		nicReady:    make([]int64, nodes),
 	}
 	if bc, ok := ctrl.(BufferController); ok {
 		n.bufCtrl = bc
@@ -322,6 +393,7 @@ func New(cfg Config, gen traffic.Generator, ctrl Controller) (*Network, error) {
 		n.meters[i] = power.NewMeter(pp, cfg.routerPowerConfig())
 		nics[i].curVC = -1
 		n.nics[i] = &nics[i]
+		n.nicReady[i] = noReady
 	}
 	// Static policies apply from cycle 0; adaptive controllers start
 	// from their own initial mode (SetInitialMode) and take over at the
@@ -353,6 +425,9 @@ func (n *Network) buildTopology() {
 	n.chans = make([]Channel, nodes*NumPorts)
 	for i := range n.inMinReady {
 		n.inMinReady[i] = noReady
+	}
+	for i := range n.rMinReady {
+		n.rMinReady[i] = noReady
 	}
 	routers := make([]Router, nodes)
 	n.routers = make([]*Router, nodes)
@@ -492,6 +567,8 @@ func (n *Network) step(maxCycles int64) {
 	for _, slot := range sp.slots {
 		n.bufferedFlits += slot.buffered
 		slot.buffered = 0
+		n.nGated += slot.gatedDelta
+		slot.gatedDelta = 0
 		if slot.progress {
 			n.lastProgress = cy
 			slot.progress = false
@@ -514,19 +591,25 @@ func (n *Network) step(maxCycles int64) {
 
 	// 4. Router pipelines (or bypass switches). A router whose input
 	// buffers are empty has nothing for RC/VA/SA to do — skip its
-	// port×VC scans outright.
+	// port×VC scans outright. Buffered flits imply an active router (a
+	// router gates only once drained, and nothing is delivered to or
+	// injected into a gated or waking one), so the buffered-flit count is
+	// the one word tested per router; only bypass designs also read the
+	// gated flag, and only for drained routers.
 	if n.shardCount == 1 {
 		// Fused: sa;va;rc per router in router order, touching each
 		// router's VC state once.
 		slot := sp.slots[0]
-		for id, r := range n.routers {
+		bypass := n.cfg.Bypass
+		for id, c := range n.rBufCount {
 			switch {
-			case n.rGated[id] && n.cfg.Bypass:
-				n.bypassStep(r, cy)
-			case n.active(id) && n.rBufCount[id] > 0:
+			case c > 0:
+				r := n.routers[id]
 				n.saStage(r, cy)
 				n.vaStage(r, cy)
 				n.rcStage(r, cy, slot)
+			case bypass && n.rGated[id]:
+				n.bypassStep(n.routers[id], cy)
 			}
 		}
 	} else {
@@ -536,13 +619,14 @@ func (n *Network) step(maxCycles int64) {
 		// traversal/ejection, in router-index order. This is where the
 		// same-cycle credit chain, the link-fault PRNG draws, and the
 		// power meter accumulation happen, all in the fused order.
-		for id, r := range n.routers {
+		bypass := n.cfg.Bypass
+		for id, has := range sp.hasReq {
 			switch {
-			case n.rGated[id] && n.cfg.Bypass:
-				n.bypassStep(r, cy)
-			case sp.hasReq[id]:
+			case has:
 				sp.hasReq[id] = false
-				n.saCommit(r, cy, &sp.req[id])
+				n.saCommit(n.routers[id], cy, &sp.req[id])
+			case bypass && n.rGated[id]:
+				n.bypassStep(n.routers[id], cy)
 			}
 		}
 		// 4c. VA + RC, fanned out, on control-fault draws banked in
@@ -561,11 +645,14 @@ func (n *Network) step(maxCycles int64) {
 	// inject through the bypass switch instead).
 	n.injectPhase(cy)
 
-	// 6. Per-cycle accounting.
-	sp.runPhase(phaseAccount, cy)
-	for _, slot := range sp.slots {
-		n.gatedCycles += slot.gatedCycles
-		slot.gatedCycles = 0
+	// 6. Accounting. The per-cycle counters are banked at the state
+	// changes themselves (staticFrom, the prepaid winOcc, nGated), so
+	// all that is left is the gated-cycle add and, with more than one
+	// shard, the staged link pushes each shard drains into its own
+	// channels (see stagedPush).
+	n.gatedCycles += uint64(n.nGated)
+	if n.shardCount > 1 {
+		sp.runPhase(phaseDrainLinks, cy)
 	}
 
 	n.cycle++
@@ -601,6 +688,7 @@ func (n *Network) admitStep(cy int64) {
 		n.nextPacketID++
 		n.packets.append(n.newInfo(job))
 		q.queue = append(q.queue, job)
+		n.nicReady[pkt.Src] = n.nicWake(q)
 		if n.outstanding == 0 {
 			n.lastProgress = cy
 		}
@@ -611,16 +699,45 @@ func (n *Network) admitStep(cy int64) {
 // injectPhase runs step 5 for every NIC: injection into active routers,
 // wake triggering for gated CP-style ones. Flit ids and the injection
 // PRNG draws are handed out in router order, so this phase runs on the
-// coordinator and emits its events directly.
+// coordinator and emits its events directly. injectStep runs only where
+// the NIC's eligibility word has come due: elsewhere it would find an
+// empty NIC, or a head packet held by its dependency window or NACK
+// delay, and return without touching any state.
 func (n *Network) injectPhase(cy int64) {
-	for id, q := range n.nics {
-		r := n.routers[id]
-		if n.active(id) {
-			n.injectStep(r, q, cy)
-		} else if q.pending() && !n.cfg.Bypass && n.rGated[id] && n.rWaking[id] == 0 && n.triggerWake(r) {
+	cpWake := n.cfg.PowerGating && !n.cfg.Bypass // only CP-style routers gate without a bypass
+	for id, t := range n.nicReady {
+		switch {
+		case t <= cy && n.active(id):
+			n.injectStep(n.routers[id], n.nics[id], cy)
+		case cpWake && n.rGated[id] && n.rWaking[id] == 0 && n.nics[id].pending() && n.triggerWake(n.routers[id]):
 			n.emit(Event{Cycle: cy, Kind: EvWake, Router: id})
 		}
 	}
+}
+
+// nicWake returns the earliest cycle at which injectStep could change NIC
+// q's state: a past cycle while a packet is streaming (every refused peek
+// still takes a flit id), noReady while the queue is empty or the head
+// packet waits for an ejection to free its dependency window, and
+// otherwise the later of its NACK delay and its compute gap. Before that
+// cycle peekNICFlit refuses without side effects, so skipping the call
+// is exact.
+func (n *Network) nicWake(q *nic) int64 {
+	if q.cur != nil {
+		return math.MinInt64
+	}
+	if q.queued() == 0 {
+		return noReady
+	}
+	job := q.queue[q.head]
+	t := job.notBefore
+	if w := n.cfg.DependencyWindow; w > 0 && job.retries == 0 {
+		if q.outstanding >= w {
+			return noReady
+		}
+		t = max(t, q.lastInject+job.gap)
+	}
+	return t
 }
 
 // idleSpan returns the number of upcoming cycles (starting with the
@@ -646,40 +763,34 @@ func (n *Network) idleSpan() int64 {
 	if next > cy {
 		bound = next - cy
 	}
-	for id, r := range n.routers {
-		if n.rWaking[id] > 0 {
+	for id, waking := range n.rWaking {
+		if waking > 0 {
 			// The router ungates (and flushes static accounting) the
 			// cycle its countdown hits zero.
-			if n.rWaking[id] == 1 {
+			if waking == 1 {
 				return 0
 			}
-			if w := int64(n.rWaking[id]) - 1; w < bound {
+			if w := int64(waking) - 1; w < bound {
 				bound = w
 			}
 			continue
 		}
-		if !n.rGated[id] && n.cfg.Bypass && r.mode == ModeBypass {
+		if !n.rGated[id] && n.cfg.Bypass && n.rBypassMode[id] {
 			return 0 // gates itself this cycle (buffers are empty)
 		}
 		// Channel flits: delivery (or gated-router wake) happens at the
 		// earliest readyAt; a flit already ready may be deliverable or
 		// credit-blocked — either way this cycle is not provably idle.
-		hasChTraffic := false
-		for _, e := range n.inMinReady[id*NumPorts : (id+1)*NumPorts] {
-			if e == noReady {
-				continue
-			}
-			hasChTraffic = true
-			if e <= cy {
-				return 0
-			}
-			if d := e - cy; d < bound {
-				bound = d
-			}
+		e := n.rMinReady[id]
+		if e <= cy {
+			return 0
+		}
+		if e != noReady && e-cy < bound {
+			bound = e - cy
 		}
 		// CP-style idle gating: the idle streak counts up toward the
 		// gating threshold; the gating transition must not be skipped.
-		if n.cfg.PowerGating && !n.cfg.Bypass && !n.rGated[id] && !hasChTraffic {
+		if n.cfg.PowerGating && !n.cfg.Bypass && !n.rGated[id] && e == noReady {
 			left := int64(n.cfg.IdleGateCycles) - int64(n.rIdle[id])
 			if left <= 1 {
 				return 0
@@ -708,20 +819,23 @@ func (n *Network) untilBoundary(cy, interval int64) int64 {
 // and advances the clock, firing the thermal/control boundary exactly as
 // the cycle-by-cycle loop would. idleSpan guarantees no other state can
 // change during the span.
+//
+// The static spans and the prepaid window occupancies need nothing (every
+// buffer is empty, so no occupancy changes), and the gated set is fixed
+// for the span, so only the wake countdowns and the CP idle streaks are
+// walked — and only on designs that can gate at all.
 func (n *Network) fastForward(k int64) {
-	for id := range n.routers {
-		n.rStatic[id] += uint64(k)
-		if n.rGated[id] {
-			n.gatedCycles += uint64(k)
-		}
-		if n.rWaking[id] > 0 {
-			n.rWaking[id] -= int32(k) // idleSpan bounds k <= waking-1
-			continue
-		}
-		if n.rGated[id] {
-			continue
-		}
-		if n.cfg.PowerGating && !n.cfg.Bypass {
+	n.gatedCycles += uint64(k) * uint64(n.nGated)
+	if n.cfg.PowerGating || n.cfg.Bypass {
+		cpIdle := n.cfg.PowerGating && !n.cfg.Bypass
+		for id := range n.rWaking {
+			if n.rWaking[id] > 0 {
+				n.rWaking[id] -= int32(k) // idleSpan bounds k <= waking-1
+				continue
+			}
+			if n.rGated[id] || !cpIdle {
+				continue
+			}
 			if n.hasChannelTraffic(id) {
 				n.rIdle[id] = 0
 			} else {
@@ -748,6 +862,7 @@ func (n *Network) powerStateStep(r *Router, cy int64, slot *shardSlot) {
 		n.rWaking[id]--
 		if n.rWaking[id] == 0 {
 			n.rGated[id] = false
+			slot.gatedDelta--
 			n.flushStatic(r)
 		}
 		return
@@ -755,22 +870,16 @@ func (n *Network) powerStateStep(r *Router, cy int64, slot *shardSlot) {
 	if n.rGated[id] {
 		// CP-style gated routers (no bypass) wake when traffic shows
 		// up at any input channel.
-		if !n.cfg.Bypass {
-			for _, e := range n.inMinReady[id*NumPorts : (id+1)*NumPorts] {
-				if e <= cy {
-					if n.triggerWake(r) {
-						n.emitGate(slot, Event{Cycle: cy, Kind: EvWake, Router: id})
-					}
-					break
-				}
-			}
+		if !n.cfg.Bypass && n.rMinReady[id] <= cy && n.triggerWake(r) {
+			n.emitGate(slot, Event{Cycle: cy, Kind: EvWake, Router: id})
 		}
 		return
 	}
 	// Mode-0 routers gate as soon as their buffers drain.
-	if n.cfg.Bypass && r.mode == ModeBypass && n.empty(id) {
+	if n.cfg.Bypass && n.rBypassMode[id] && n.empty(id) {
 		n.flushStatic(r)
 		n.rGated[id] = true
+		slot.gatedDelta++
 		n.emitGate(slot, Event{Cycle: cy, Kind: EvGate, Router: id})
 		return
 	}
@@ -782,6 +891,7 @@ func (n *Network) powerStateStep(r *Router, cy int64, slot *shardSlot) {
 			if int(n.rIdle[id]) >= n.cfg.IdleGateCycles {
 				n.flushStatic(r)
 				n.rGated[id] = true
+				slot.gatedDelta++
 				n.rIdle[id] = 0
 				n.emitGate(slot, Event{Cycle: cy, Kind: EvGate, Router: id})
 			}
@@ -793,13 +903,26 @@ func (n *Network) powerStateStep(r *Router, cy int64, slot *shardSlot) {
 
 // hasChannelTraffic reports whether any input channel of router id holds
 // a flit.
-func (n *Network) hasChannelTraffic(id int) bool {
-	for _, e := range n.inMinReady[id*NumPorts : (id+1)*NumPorts] {
-		if e != noReady {
-			return true
-		}
+func (n *Network) hasChannelTraffic(id int) bool { return n.rMinReady[id] != noReady }
+
+// refreshMinReady recomputes router id's earliest-ready word from its
+// input channels' slots, after a removal that may have raised one.
+func (n *Network) refreshMinReady(id int) {
+	e := int64(noReady)
+	for _, s := range n.inMinReady[id*NumPorts : (id+1)*NumPorts] {
+		e = min(e, s)
 	}
-	return false
+	n.rMinReady[id] = e
+}
+
+// linkPush enqueues flit f on the channel at slab index k (the receiving
+// router's input port), keeping the receiving router's earliest-ready
+// word exact.
+func (n *Network) linkPush(k int, f *Flit, readyAt int64) {
+	n.chans[k].push(f, readyAt)
+	if id := k / NumPorts; readyAt < n.rMinReady[id] {
+		n.rMinReady[id] = readyAt
+	}
 }
 
 // triggerWake starts a gated router's wake-up countdown and reports
@@ -819,37 +942,49 @@ func (n *Network) triggerWake(r *Router) bool {
 }
 
 // flushStatic banks the cycles spent in the router's previous static state
-// before a state change. Readers use staticJoules instead, so observing a
-// run cannot change it.
+// before a state change and starts the next span at the current cycle.
+// Inside a tick n.cycle is the cycle being stepped, and at thermal and
+// control boundaries it is the cycle just completed plus one, so the span
+// counts exactly the cycles a per-cycle increment at the end of each tick
+// would have. Readers use staticJoules instead, so observing a run cannot
+// change it.
 func (n *Network) flushStatic(r *Router) {
 	id := r.id
-	if n.rStatic[id] > 0 {
-		n.meters[id].TickStatic(n.rStatic[id], r.lastScheme, r.lastGated)
-		n.rStatic[id] = 0
+	if span := n.staticSpan(id); span > 0 {
+		n.meters[id].TickStatic(span, r.lastScheme, r.lastGated)
+		n.staticFrom[id] = n.cycle
 	}
 	r.lastScheme = n.schemeOf(r)
 	r.lastGated = n.rGated[id]
 }
 
+// staticSpan is the number of cycles router id has spent in its current
+// static state since the last flushStatic.
+func (n *Network) staticSpan(id int) uint64 { return uint64(n.cycle - n.staticFrom[id]) }
+
 // staticJoules returns router id's static energy so far, including the
 // cycles not yet banked, without banking them.
 func (n *Network) staticJoules(id int) float64 {
 	r := n.routers[id]
-	if n.rStatic[id] == 0 {
+	span := n.staticSpan(id)
+	if span == 0 {
 		return n.meters[id].StaticJoules
 	}
-	return n.meters[id].StaticAfter(n.rStatic[id], r.lastScheme, r.lastGated)
+	return n.meters[id].StaticAfter(span, r.lastScheme, r.lastGated)
 }
 
 // deliverChannels moves at most one flit per input port from the channel
-// into its VC buffer. A port whose earliest-ready slot lies in the future
-// (or holds noReady) is skipped without touching its channel. It mutates
-// only the router's own channels and buffers, so shards run it in
-// parallel; the cross-router side effects (bufferedFlits, lastProgress,
-// the delivery events) go through slot and commit after the phase.
+// into its VC buffer. Callers skip routers whose earliest-ready word lies
+// in the future; within the router, a port whose earliest-ready slot lies
+// in the future (or holds noReady) is skipped without touching its
+// channel. It mutates only the router's own channels and buffers, so
+// shards run it in parallel; the cross-router side effects
+// (bufferedFlits, lastProgress, the delivery events) go through slot and
+// commit after the phase.
 func (n *Network) deliverChannels(r *Router, cy int64, slot *shardSlot) {
 	base := r.id * NumPorts
 	vcs := n.cfg.VCs
+	delivered := false
 	for p := 0; p < NumPorts; p++ {
 		if n.inMinReady[base+p] > cy {
 			continue
@@ -863,10 +998,11 @@ func (n *Network) deliverChannels(r *Router, cy int64, slot *shardSlot) {
 		}
 		vc := ch.at(idx).vc
 		f := ch.remove(idx)
+		delivered = true
 		n.vcPush(vc0+vc, f)
 		n.rOccVC[r.id] |= 1 << (p*vcs + vc)
 		n.rBufCount[r.id]++
-		n.portOcc[base+p]++
+		n.occAdd(base+p, 1, cy)
 		n.inPorts[base+p].winFlitsIn++
 		n.meters[r.id].BufWrite()
 		slot.buffered++
@@ -876,6 +1012,25 @@ func (n *Network) deliverChannels(r *Router, cy int64, slot *shardSlot) {
 				Event{Cycle: cy, Kind: EvDeliver, Router: r.id, PacketID: f.PacketID, FlitSeq: f.Seq})
 		}
 	}
+	if delivered {
+		n.refreshMinReady(r.id)
+	}
+}
+
+// occAdd records a change of d flits in input port k's buffer occupancy
+// at cycle cy, prepaying its contribution to the window sum for every
+// remaining cycle of the control window (see Network.winOcc). A negative
+// d wraps the unsigned add into the matching subtraction.
+func (n *Network) occAdd(k int, d int32, cy int64) {
+	n.portOcc[k] += d
+	n.winOcc[k] += uint64(int64(d) * (n.winEnd - cy))
+}
+
+// runningWinOcc is input port k's summed occupancy over the cycles of
+// the current window completed so far: the prepaid counter less what the
+// current occupancy has prepaid for the cycles still ahead.
+func (n *Network) runningWinOcc(k int) uint64 {
+	return n.winOcc[k] - uint64(n.portOcc[k])*uint64(n.winEnd-n.cycle)
 }
 
 // A router's (port, VC) slots index one uint64: the occupied-VC mask and
@@ -978,7 +1133,7 @@ func (n *Network) arbitrateOutput(r *Router, outP int, cy int64, req uint64) int
 			n.rOccVC[r.id] &^= 1 << slot
 		}
 		n.rBufCount[r.id]--
-		n.portOcc[r.id*NumPorts+inP]--
+		n.occAdd(r.id*NumPorts+inP, -1, cy)
 		n.bufferedFlits--
 		op.saRR = (slot + 1) % (NumPorts * vcs)
 		if f.Type.IsHead() {
@@ -1009,16 +1164,11 @@ func (n *Network) arbitrateOutput(r *Router, outP int, cy int64, req uint64) int
 }
 
 // recordHop appends router id to the forwarding path of head flit f's
-// packet. A path is at most the topology's diameter plus one routers
-// long, so its first use sizes it for that instead of doubling up; the
-// capacity survives the packet record's recycling.
+// packet (sized by newInfo, so it does not grow).
 func (n *Network) recordHop(f *Flit, id int) {
 	pi := n.packets.get(f.PacketID)
 	if pi == nil {
 		return
-	}
-	if cap(pi.path) == 0 {
-		pi.path = make([]uint16, 0, n.topo.Diameter()+1)
 	}
 	pi.path = append(pi.path, uint16(id))
 }
@@ -1108,7 +1258,8 @@ func (n *Network) rcStage(r *Router, cy int64, slot *shardSlot) {
 
 // predrawControlFaults banks one control-fault PRNG draw for every VC
 // that rcStage will route this tick, in exact (router, port, VC) order,
-// so a multi-shard tick can fan VA+RC out without reordering the stream. Called by the coordinator after the commit pass, at the same
+// so a multi-shard tick can fan VA+RC out without reordering the stream.
+// Called by the coordinator after the commit pass, at the same
 // schedule point the parallel phase starts from; the qualifying set is
 // identical to what rcStage sees because (a) commits only mutate their
 // own router's input VCs, so post-commit state is final, and (b) vaStage
@@ -1118,12 +1269,9 @@ func (n *Network) predrawControlFaults() {
 	if n.rcDraws == nil {
 		n.rcDraws = make([]float64, len(n.ivcs))
 	}
-	for id := range n.routers {
-		if !n.active(id) {
-			continue
-		}
+	for id, occ := range n.rOccVC { // only active routers buffer flits
 		base := n.vcIndex(id, 0, 0)
-		for m := n.rOccVC[id]; m != 0; m &= m - 1 {
+		for m := occ; m != 0; m &= m - 1 {
 			i := base + bits.TrailingZeros64(m)
 			if n.ivcs[i].route >= 0 || !n.vcAt(i, 0).Type.IsHead() {
 				continue
@@ -1147,9 +1295,16 @@ func (n *Network) bypassStep(r *Router, cy int64) {
 	}
 }
 
-// bypassCanForward reports (without side effects) whether the bypass
-// switch could forward flit f right now. Ejection needs a free output VC
-// but no credits; its uncredited sentinel always passes the credit test.
+// bypassCanForward reports whether the bypass switch could forward flit f
+// right now. Ejection needs a free output VC but no credits; its
+// uncredited sentinel always passes the credit test. It is not free of
+// side effects: for a head flit the free-VC probe is freeVC itself, which
+// advances the output port's vaRR past the VC it finds. tryBypassPort's
+// allocation then searches from the advanced pointer, so the switch
+// takes the next free VC after the one checked (the same one only when
+// it is the only free VC), and each forwarded head moves the round robin
+// twice. Seeded bypass results depend on that, so it stays until their
+// goldens are regenerated (see ROADMAP.md).
 func (n *Network) bypassCanForward(r *Router, p int, f *Flit) bool {
 	if f.Type.IsHead() {
 		route, class := n.route(r, f)
@@ -1216,6 +1371,7 @@ func (n *Network) tryBypassPort(r *Router, p int, cy int64) bool {
 		// credit to the upstream sender.
 		ip := r.in[p]
 		ip.ch.remove(chIdx)
+		n.refreshMinReady(r.id)
 		ip.winFlitsIn++
 		if ip.upCredits >= 0 {
 			n.credits[ip.upCredits+f.VC]++
@@ -1286,15 +1442,16 @@ func (n *Network) sendOnLink(r *Router, op *outputPort, f *Flit, cy int64) {
 	n.thermAct[r.id]++
 	op.winFlitsOut++
 	// With more than one shard the push is staged per destination shard
-	// and drained by the channel's owning shard in the accounting phase;
+	// and drained by the channel's owning shard at the end of the tick;
 	// the deferral is invisible within the tick (readyAt >= cy+2, and
 	// nothing between the commit pass and the drain reads channels). One
 	// shard pushes directly.
+	k := op.downRouter*NumPorts + op.downPort
 	if sp := n.pool; n.shardCount > 1 {
 		slot := sp.slots[sp.shardOf[op.downRouter]]
-		slot.stagedLinks = append(slot.stagedLinks, stagedPush{ch: op.ch, flit: f, readyAt: readyAt})
+		slot.stagedLinks = append(slot.stagedLinks, stagedPush{chanIdx: k, flit: f, readyAt: readyAt})
 	} else {
-		op.ch.push(f, readyAt)
+		n.linkPush(k, f, readyAt)
 	}
 }
 
@@ -1461,9 +1618,8 @@ func (n *Network) eject(r *Router, f *Flit, cy int64) {
 		// window: the transaction is already outstanding and blocking
 		// it on itself would wedge a closed loop.
 		q := n.nics[pi.job.src]
-		q.queue = append(q.queue, nil)
-		copy(q.queue[1:], q.queue)
-		q.queue[0] = pi.job
+		q.pushFront(pi.job)
+		n.nicReady[pi.job.src] = n.nicWake(q)
 		return
 	}
 	n.packets.delete(pid)
@@ -1473,7 +1629,10 @@ func (n *Network) eject(r *Router, f *Flit, cy int64) {
 		n.pktsDelivered++
 	}
 	if n.cfg.DependencyWindow > 0 {
-		n.nics[pi.job.src].outstanding--
+		// The freed window slot may release the source's head packet.
+		q := n.nics[pi.job.src]
+		q.outstanding--
+		n.nicReady[pi.job.src] = n.nicWake(q)
 	}
 	lat := float64(cy - pi.job.injectCycle + 1)
 	n.latency.Add(lat)
@@ -1496,17 +1655,17 @@ func (n *Network) eject(r *Router, f *Flit, cy int64) {
 // recycles it.
 func (n *Network) peekNICFlit(r *Router, q *nic, cy int64) (*Flit, bool) {
 	if q.cur == nil {
-		if len(q.queue) == 0 {
+		if q.queued() == 0 {
 			return nil, false
 		}
-		if q.queue[0].notBefore > cy {
+		job := q.queue[q.head]
+		if job.notBefore > cy {
 			return nil, false // e2e NACK still in flight
 		}
 		// Dependency-window gating: at most W packets outstanding per
 		// core, with trace gaps preserved as compute time between
 		// injection starts (Netrace-style closed loop).
-		if w := n.cfg.DependencyWindow; w > 0 && q.queue[0].retries == 0 {
-			job := q.queue[0]
+		if w := n.cfg.DependencyWindow; w > 0 && job.retries == 0 {
 			if q.outstanding >= w || cy < q.lastInject+job.gap {
 				return nil, false
 			}
@@ -1516,16 +1675,10 @@ func (n *Network) peekNICFlit(r *Router, q *nic, cy int64) (*Flit, bool) {
 			q.outstanding++
 			q.lastInject = cy
 		}
-		q.cur = q.queue[0]
-		// Pop by shifting down so the queue's capacity stays anchored:
-		// a re-slicing pop would strand the front and make every later
-		// append reallocate. NIC queues are a handful of entries deep.
-		last := len(q.queue) - 1
-		copy(q.queue, q.queue[1:])
-		q.queue[last] = nil
-		q.queue = q.queue[:last]
+		q.cur = q.popFront()
 		q.nextIdx = 0
 		q.curVC = -1
+		n.nicReady[r.id] = n.nicWake(q)
 	}
 	if q.curVC < 0 {
 		// Pick a VC for this packet round-robin; the bypass path
@@ -1556,6 +1709,7 @@ func (n *Network) consumeNICFlit(r *Router, q *nic) {
 	if q.nextIdx >= q.cur.flits {
 		q.cur = nil
 		q.curVC = -1
+		n.nicReady[r.id] = n.nicWake(q)
 	}
 }
 
@@ -1605,9 +1759,11 @@ func (n *Network) recycleFlit(f *Flit) {
 }
 
 // newJob and newInfo pop pooled packet bookkeeping records; recycleJob
-// and recycleInfo return them when a packet completes. packetInfo keeps
-// its path slice capacity across lives, so steady-state traffic records
-// forwarding paths without allocating.
+// and recycleInfo return them when a packet completes. A path is at most
+// the topology's diameter plus one routers long, so a fresh packetInfo
+// gets that capacity up front and keeps it across lives: forwarding never
+// allocates, even while a closed loop drains a backlog of records made
+// at admission.
 func (n *Network) newJob() *packetJob {
 	if k := len(n.jobPool); k > 0 {
 		j := n.jobPool[k-1]
@@ -1631,7 +1787,7 @@ func (n *Network) newInfo(job *packetJob) *packetInfo {
 		pi.job = job
 		return pi
 	}
-	return &packetInfo{job: job}
+	return &packetInfo{job: job, path: make([]uint16, 0, n.topo.Diameter()+1)}
 }
 
 func (n *Network) recycleInfo(pi *packetInfo) {
@@ -1658,7 +1814,7 @@ func (n *Network) injectStep(r *Router, q *nic, cy int64) {
 	n.vcPush(i, f)
 	n.rOccVC[r.id] |= 1 << (PortLocal*n.cfg.VCs + f.VC)
 	n.rBufCount[r.id]++
-	n.portOcc[r.id*NumPorts+PortLocal]++
+	n.occAdd(r.id*NumPorts+PortLocal, 1, cy)
 	n.bufferedFlits++
 	r.in[PortLocal].winFlitsIn++
 	n.meters[r.id].BufWrite()
@@ -1697,6 +1853,7 @@ func (n *Network) thermalStep() {
 func (n *Network) controlStep() {
 	win := uint64(n.cfg.TimeStepCycles)
 	winSeconds := float64(win) / power.ClockHz
+	n.winEnd = n.cycle + int64(win)
 	for i, r := range n.routers {
 		n.flushStatic(r)
 		obs := Observation{Router: i, Cycle: n.cycle}
@@ -1764,7 +1921,8 @@ func (n *Network) controlStep() {
 		r.winHopRetrans = 0
 		r.winEnergyStart = n.meters[i].TotalJoules()
 		for p := 0; p < NumPorts; p++ {
-			n.winOcc[i*NumPorts+p] = 0
+			// Prepay the next window for the occupancy carried into it.
+			n.winOcc[i*NumPorts+p] = uint64(n.portOcc[i*NumPorts+p]) * win
 			if r.in[p] != nil {
 				r.in[p].winFlitsIn = 0
 			}
@@ -1893,6 +2051,7 @@ func (n *Network) applyMode(r *Router, mode Mode) {
 	}
 	prev := r.mode
 	r.mode = mode
+	n.rBypassMode[r.id] = mode == ModeBypass
 	if prev != mode {
 		n.emit(Event{Cycle: n.cycle, Kind: EvModeChange, Router: r.id, Mode: mode})
 	}
@@ -1904,9 +2063,12 @@ func (n *Network) applyMode(r *Router, mode Mode) {
 
 // CheckInvariants validates the network's conservation laws. At any
 // time: no packet flit may have been delivered out of order; the O(1)
-// counters, the occupied-VC masks and the earliest-ready slab must mirror
-// the buffers and channels; every VC ring must lie within BufDepth; and
-// every credited output VC's credits plus the flits it has in flight
+// counters, the occupied-VC masks and the earliest-ready slots and router
+// words must mirror the buffers and channels; the gated-router count, the
+// bypass-mode mirror and every NIC's eligibility word must match their
+// recomputation, and each prepaid window counter must cover the current
+// occupancy to the window's end; every VC ring must lie within BufDepth;
+// and every credited output VC's credits plus the flits it has in flight
 // downstream must equal its share. On a fully drained network every
 // output VC must also be released, and every buffer, channel and NIC must
 // be empty (so every credit has returned). It returns nil when all
@@ -1922,10 +2084,14 @@ func (n *Network) CheckInvariants() error {
 	// The fixed-capacity rings rely on the BufDepth bound that delivery
 	// and injection enforce.
 	vcs, depth := n.cfg.VCs, n.cfg.BufDepth
-	total := 0
+	if left := n.winEnd - n.cycle; left < 1 || left > int64(n.cfg.TimeStepCycles) {
+		return fmt.Errorf("noc: window ends at cycle %d, not within one time step after cycle %d", n.winEnd, n.cycle)
+	}
+	total, gated := 0, 0
 	for id, r := range n.routers {
 		cnt := 0
 		var occVC uint64
+		rowMin := int64(noReady)
 		for p := 0; p < NumPorts; p++ {
 			occ := 0
 			minReady := int64(noReady)
@@ -1959,7 +2125,29 @@ func (n *Network) CheckInvariants() error {
 				return fmt.Errorf("noc: router %d %s inMinReady = %d, channel's earliest readyAt is %d",
 					id, PortName(p), got, minReady)
 			}
+			rowMin = min(rowMin, minReady)
+			// The prepaid window counter must already cover the current
+			// occupancy for every cycle left in the window.
+			if k := id*NumPorts + p; n.winOcc[k] < uint64(occ)*uint64(n.winEnd-n.cycle) {
+				return fmt.Errorf("noc: router %d %s window occupancy prepaid %d, below %d flits for %d cycles",
+					id, PortName(p), n.winOcc[k], occ, n.winEnd-n.cycle)
+			}
 			cnt += occ
+		}
+		if n.rMinReady[id] != rowMin {
+			return fmt.Errorf("noc: router %d rMinReady = %d, its channels' earliest readyAt is %d", id, n.rMinReady[id], rowMin)
+		}
+		if n.staticFrom[id] > n.cycle {
+			return fmt.Errorf("noc: router %d static span starts at cycle %d, after the current cycle %d", id, n.staticFrom[id], n.cycle)
+		}
+		if n.rGated[id] {
+			gated++
+		}
+		if n.rBypassMode[id] != (r.mode == ModeBypass) {
+			return fmt.Errorf("noc: router %d rBypassMode = %v in mode %v", id, n.rBypassMode[id], r.mode)
+		}
+		if got, want := n.nicReady[id], n.nicWake(n.nics[id]); got != want {
+			return fmt.Errorf("noc: NIC %d eligibility word = %d, its queue and window allow injection from cycle %d", id, got, want)
 		}
 		if n.rOccVC[id] != occVC {
 			return fmt.Errorf("noc: router %d rOccVC = %#x, buffers occupy %#x", id, n.rOccVC[id], occVC)
@@ -1971,6 +2159,9 @@ func (n *Network) CheckInvariants() error {
 	}
 	if total != n.bufferedFlits {
 		return fmt.Errorf("noc: bufferedFlits = %d, buffers hold %d", n.bufferedFlits, total)
+	}
+	if gated != n.nGated {
+		return fmt.Errorf("noc: nGated = %d, %d routers are gated", n.nGated, gated)
 	}
 	if err := n.checkCredits(); err != nil {
 		return err

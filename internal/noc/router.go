@@ -49,9 +49,9 @@ type inputPort struct {
 	upCredits int
 
 	// winFlitsIn counts window deliveries for the RL state vector. The
-	// companion summed-occupancy counter lives in Network.winOcc — the
-	// accounting phase touches it every cycle for every port, so it is
-	// kept in a flat slab instead of behind two pointer hops.
+	// companion summed-occupancy counter lives in Network.winOcc, a flat
+	// slab updated at every buffer mutation instead of behind two pointer
+	// hops.
 	winFlitsIn uint64
 }
 
@@ -151,11 +151,12 @@ func (n *Network) portOccupancy(id, p int) int {
 }
 
 // Router is one mesh router. The per-cycle hot fields — power state
-// (gated/waking/idle), the buffered-flit count, the occupied-VC mask, and
-// the static-power accounting cycles — live in flat Network slabs indexed
-// by router id (rGated, rWaking, rIdle, rBufCount, rOccVC, rStatic), so
-// the sharded scans walk contiguous memory instead of chasing one pointer
-// per router.
+// (gated/waking/idle, and whether the mode is bypass), the buffered-flit
+// count, the occupied-VC mask, the earliest channel flit and the start of
+// the static-power span — live in flat Network slabs indexed by router id
+// (rGated, rWaking, rIdle, rBypassMode, rBufCount, rOccVC, rMinReady,
+// staticFrom), so the sharded scans walk contiguous memory instead of
+// chasing one pointer per router.
 type Router struct {
 	id, x, y int
 	in       [NumPorts]*inputPort
@@ -169,8 +170,8 @@ type Router struct {
 	bypassLock int // input port, or -1
 	bypassRR   int
 
-	// Static-power accounting: the (scheme, gated) state the accumulated
-	// cycles (Network.rStatic) belong to, refreshed on transitions.
+	// Static-power accounting: the (scheme, gated) state the unbanked
+	// span since Network.staticFrom belongs to, refreshed on transitions.
 	lastScheme ecc.Scheme
 	lastGated  bool
 

@@ -28,7 +28,13 @@ import (
 //	phase 2+3  power-state + channel deliveries   (own router/channels)
 //	phase 4a   SA request-mask build              (own input VCs)
 //	phase 4c   VA + RC after all SA commits       (own ports; no credits)
-//	phase 6    per-cycle accounting               (own counters)
+//	phase 6    staged link-push drain             (own channels)
+//
+// No phase does per-router work for a router without work: the per-cycle
+// counters are banked at state changes (see Network.staticFrom, winOcc
+// and nGated), so phase 6 is only the multi-shard link drain, and one
+// shard skips it. Each scan reads one slab word per router and calls
+// into the router only when that word says there is work.
 //
 // Phase 4 is the only place the schedule forks on shard count. One shard
 // runs sa;va;rc fused per router in router order, touching each router's
@@ -48,18 +54,18 @@ import (
 // inline, in the same order.
 //
 // Cross-router side effects of the phases (bufferedFlits, lastProgress,
-// gated-cycle and control-fault counts, event emission) are accumulated
-// per shard in a shardSlot and committed after the phase in shard order,
-// which equals router-index order. Event hooks therefore fire only from
-// the coordinating goroutine, in the same order at every shard count —
-// the single-goroutine guarantee SetEventHook documents.
+// the gated-router count, control-fault counts, event emission) are
+// accumulated per shard in a shardSlot and committed after the phase in
+// shard order, which equals router-index order. Event hooks therefore
+// fire only from the coordinating goroutine, in the same order at every
+// shard count — the single-goroutine guarantee SetEventHook documents.
 
 // Phase selectors for shardPool.runPhase.
 const (
 	phasePowerDeliver = iota
 	phaseSABuild
 	phaseVARC
-	phaseAccount
+	phaseDrainLinks
 )
 
 // shardSlot accumulates one shard's cross-router side effects during a
@@ -69,25 +75,26 @@ type shardSlot struct {
 	deliverEvents []Event // delivery phase (EvDeliver), router order
 	buffered      int     // bufferedFlits delta
 	progress      bool    // any delivery happened (lastProgress = cy)
-	gatedCycles   uint64  // accounting-phase gated-cycle delta
+	gatedDelta    int     // power-phase change in the gated-router count
 	controlFaults uint64  // RC control-fault delta
 	// stagedLinks holds the link pushes bound for this shard's channels,
 	// appended by the coordinator during the commit pass and drained by
-	// the owning shard in the accounting phase (see stagedPush).
+	// the owning shard at the end of the tick (see stagedPush).
 	stagedLinks []stagedPush
 }
 
-// stagedPush is one deferred Channel.push. The commit pass runs entirely
-// on the coordinator, so every ring insertion — often into a channel
-// owned by another shard's id range — used to happen there too. Staging
-// the pushes per destination shard and draining them in the parallel
-// accounting phase moves the ring work off the coordinator and keeps the
-// channel cache lines shard-local. The deferral is invisible to the tick:
-// a pushed flit's readyAt is at least cy+2, every channel has exactly one
-// upstream writer granting at most one flit per cycle, and nothing
-// between the commit pass and the accounting phase reads channels.
+// stagedPush is one deferred linkPush into the channel at slab index
+// chanIdx. The commit pass runs entirely on the coordinator, and many of
+// its link pushes go into channels owned by other shards. Staging the
+// pushes per destination shard and draining them in the parallel drain
+// phase moves the ring work off the coordinator and keeps the channel
+// cache lines shard-local. The
+// deferral is invisible to the tick: a pushed flit's readyAt is at least
+// cy+2, every channel has exactly one upstream writer granting at most
+// one flit per cycle, and nothing between the commit pass and the drain
+// reads channels.
 type stagedPush struct {
-	ch      *Channel
+	chanIdx int
 	flit    *Flit
 	readyAt int64
 }
@@ -246,8 +253,8 @@ func (sp *shardPool) runShard(phase, s int) {
 		sp.buildRequests(s)
 	case phaseVARC:
 		sp.vaRC(s)
-	case phaseAccount:
-		sp.account(s)
+	case phaseDrainLinks:
+		sp.drainLinks(s)
 	}
 }
 
@@ -256,21 +263,31 @@ func (sp *shardPool) runShard(phase, s int) {
 // 2-before-3 order for every router pair that interacts (a router's
 // delivery only touches its own channels and buffers, which no other
 // router's power-state step reads). Without power gating or bypass no
-// router can ever gate or wake, so phase 2 is skipped. Deliveries go to
-// every active router: a mode-0 router keeps its pipeline fully
-// operational until its buffers happen to drain — refusing deliveries to
-// force a drain would let two adjacent mode-0 routers deadlock waiting on
-// each other's credits.
+// router can ever gate or wake, so phase 2 is skipped. CP-style gating
+// visits every router (the idle streak counts each cycle); bypass designs
+// visit only the routers powerStateStep can change there — waking ones,
+// and ungated mode-0 ones that gate once drained. Deliveries go to every
+// active router with a channel flit ready this cycle: a mode-0 router
+// keeps its pipeline fully operational until its buffers happen to drain
+// — refusing deliveries to force a drain would let two adjacent mode-0
+// routers deadlock waiting on each other's credits.
 func (sp *shardPool) powerDeliver(s int) {
 	n, cy, slot := sp.n, sp.cy, sp.slots[s]
 	lo, hi := sp.lo[s], sp.hi[s]
-	if n.cfg.PowerGating || n.cfg.Bypass {
+	switch {
+	case n.cfg.Bypass:
+		for id := lo; id < hi; id++ {
+			if n.rWaking[id] > 0 || (n.rBypassMode[id] && !n.rGated[id]) {
+				n.powerStateStep(n.routers[id], cy, slot)
+			}
+		}
+	case n.cfg.PowerGating:
 		for id := lo; id < hi; id++ {
 			n.powerStateStep(n.routers[id], cy, slot)
 		}
 	}
 	for id := lo; id < hi; id++ {
-		if n.active(id) {
+		if n.rMinReady[id] <= cy && n.active(id) {
 			n.deliverChannels(n.routers[id], cy, slot)
 		}
 	}
@@ -282,12 +299,9 @@ func (sp *shardPool) powerDeliver(s int) {
 // this phase nor any commit before it can change the condition or the
 // request masks a router would have seen at its turn in router order.
 func (sp *shardPool) buildRequests(s int) {
-	n, bypass := sp.n, sp.n.cfg.Bypass
+	n := sp.n
 	for id, hi := sp.lo[s], sp.hi[s]; id < hi; id++ {
-		if n.rGated[id] && bypass {
-			continue
-		}
-		if n.active(id) && n.rBufCount[id] > 0 {
+		if n.rBufCount[id] > 0 { // buffered flits imply an active router
 			n.saBuild(n.routers[id], &sp.req[id])
 			sp.hasReq[id] = true
 		}
@@ -304,7 +318,7 @@ func (sp *shardPool) buildRequests(s int) {
 func (sp *shardPool) vaRC(s int) {
 	n, cy, slot := sp.n, sp.cy, sp.slots[s]
 	for id, hi := sp.lo[s], sp.hi[s]; id < hi; id++ {
-		if n.active(id) && n.rBufCount[id] > 0 {
+		if n.rBufCount[id] > 0 {
 			r := n.routers[id]
 			n.vaStage(r, cy)
 			n.rcStage(r, cy, slot)
@@ -312,37 +326,19 @@ func (sp *shardPool) vaRC(s int) {
 	}
 }
 
-// account runs the per-cycle accounting for one shard: pure slab
-// arithmetic (portOcc mirrors the buffer occupancies incrementally; nil
-// ports stay at zero). The gated-cycle counter is global, so its delta
-// commits after the phase. It also drains the shard's staged link pushes
-// (see stagedPush): each staged channel belongs to a router in this
-// shard, no other phase-6 scan touches channels, and per-channel there is
-// at most one push per cycle, so the drain is race-free and leaves the
-// rings exactly as direct pushes would. The same holds for each push's
-// earliest-ready slot (Network.inMinReady), which belongs to the
-// receiving router: only its owning shard writes it, here and in its
-// delivery phase.
-func (sp *shardPool) account(s int) {
+// drainLinks pushes the shard's staged link flits (see stagedPush) into
+// their channels. Each staged channel belongs to a router in this shard,
+// no other phase-6 work touches channels, and per channel there is at
+// most one push per cycle, so the drain is race-free and leaves the rings
+// exactly as direct pushes would. The same holds for each push's
+// earliest-ready slot and router word (Network.inMinReady, rMinReady),
+// which belong to the receiving router: in this phase only its owning
+// shard writes them.
+func (sp *shardPool) drainLinks(s int) {
 	n, slot := sp.n, sp.slots[s]
 	for i, st := range slot.stagedLinks {
-		st.ch.push(st.flit, st.readyAt)
+		n.linkPush(st.chanIdx, st.flit, st.readyAt)
 		slot.stagedLinks[i] = stagedPush{}
 	}
 	slot.stagedLinks = slot.stagedLinks[:0]
-	var gated uint64
-	for id, hi := sp.lo[s], sp.hi[s]; id < hi; id++ {
-		n.rStatic[id]++
-		if n.rGated[id] {
-			gated++
-		}
-		if n.rBufCount[id] == 0 {
-			continue // every port occupancy is zero
-		}
-		base := id * NumPorts
-		for p := 0; p < NumPorts; p++ {
-			n.winOcc[base+p] += uint64(n.portOcc[base+p])
-		}
-	}
-	slot.gatedCycles += gated
 }
