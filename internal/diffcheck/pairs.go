@@ -130,9 +130,10 @@ func lockstepCoarse(check string, sc Scenario, a, b *noc.Network, interval int64
 
 // checkShardsBig is checkShards at the scales the sharded stepper exists
 // for: 32×32 and 64×64 meshes, shard counts up to 16, with half the seed
-// space forcing ControlFaultRate > 0 so the pre-drawn parallel VA+RC
-// fault path is exercised. Comparison runs at checkpoint granularity
-// (lockstepCoarse) to keep a campaign seed to a few seconds.
+// space forcing ControlFaultRate > 0 so fault draws and delayed routes
+// are in the mix (see BigScenarioForSeed for why). Comparison runs at
+// checkpoint granularity (lockstepCoarse) to keep a campaign seed to a
+// few seconds.
 func checkShardsBig(seed int64) *Finding {
 	sc := BigScenarioForSeed(seed)
 	shards := []int{2, 4, 8, 16}[int(uint64(seed)%4)]

@@ -74,7 +74,6 @@ func ScenarioForSeed(seed int64) Scenario {
 
 	if rng.Intn(4) == 0 {
 		cfg.ControlFaultRate = 1e-3
-		cfg.ControlFaultPenalty = 3
 	}
 	if rng.Intn(3) == 0 {
 		cfg.DependencyWindow = 2
@@ -210,11 +209,13 @@ func TopoScenarioForSeed(seed int64) Scenario {
 }
 
 // BigScenarioForSeed derives a large-mesh scenario (32×32 or 64×64) for
-// the shardsbig family — the scales where the SoA slabs, per-shard
-// delivery staging, and pre-drawn control-fault randomness actually pay,
-// and therefore where their determinism bugs would hide. Even seeds force
-// ControlFaultRate > 0 so the parallel fault-aware VA+RC path is always
-// covered by half the campaign. Budgets are modest (a few thousand
+// the shardsbig family — the scales where the SoA slabs and per-shard
+// delivery staging actually pay, and therefore where their determinism
+// bugs would hide. Even seeds force ControlFaultRate > 0. Route
+// computation then draws from the fault PRNG, whose order any future
+// parallel router pipeline must keep, and each fault delays a route by
+// the recompute penalty, which shifts the flit timing the parallel
+// delivery and link-drain phases see. Budgets are modest (a few thousand
 // packets) because the lockstep comparison runs at checkpoint
 // granularity, not per cycle.
 func BigScenarioForSeed(seed int64) Scenario {
@@ -235,7 +236,6 @@ func BigScenarioForSeed(seed int64) Scenario {
 	}
 	if seed%2 == 0 {
 		cfg.ControlFaultRate = 1e-3
-		cfg.ControlFaultPenalty = 3
 	}
 	if rng.Intn(2) == 0 {
 		cfg.BaseErrorRate = 4e-5

@@ -75,11 +75,10 @@ type Config struct {
 	// ControlFaultRate extends the fault model to the control circuitry
 	// (the paper's stated future work): each route computation suffers
 	// a parity-detected routing-table/BST upset with this probability,
-	// costing a recompute penalty of ControlFaultPenalty cycles. Faults
+	// costing a recompute penalty of controlFaultPenalty cycles. Faults
 	// are detected-and-recovered (the tables are parity-protected), so
 	// they cost latency and energy but never misroute.
-	ControlFaultRate    float64
-	ControlFaultPenalty int
+	ControlFaultRate float64
 
 	// DependencyWindow > 0 makes injection closed-loop in the style of
 	// Netrace's dependency-driven replay: each core may have at most
@@ -93,16 +92,17 @@ type Config struct {
 	// ECC codecs on every hop. Slower; used by tests and examples.
 	VerifyPayloads bool
 
-	// Shards is the number of shards the tick runs its per-router phases
+	// Shards is the number of shards the tick runs its parallel phases
 	// over: contiguous router-id ranges that ignore topology geometry,
 	// each with its routers' channels and NICs. With more than one, a
-	// bounded worker pool scans the shards in parallel and the
-	// cross-router commits run in router-index order at a per-cycle
-	// barrier (see shard.go). 0 or 1 means one shard, run inline with no
-	// worker goroutines. Results, fingerprints, and event streams are
-	// bit-identical at any shard count — the knob trades goroutines for
-	// wall-clock only. A Network with more than one shard owns worker
-	// goroutines; call Close when done with it.
+	// bounded worker pool runs channel delivery and the staged link-push
+	// drain in parallel, two barriers per cycle, while the router
+	// pipelines and every other cross-router step run in router-index
+	// order on the stepping goroutine (see shard.go). 0 or 1 means one
+	// shard, run inline with no worker goroutines. Results, fingerprints,
+	// and event streams are bit-identical at any shard count — the knob
+	// trades goroutines for wall-clock only. A Network with more than one
+	// shard owns worker goroutines; call Close when done with it.
 	Shards int
 
 	// DisableIdleFastForward forces the simulator to step quiescent
@@ -114,6 +114,10 @@ type Config struct {
 
 	Seed int64
 }
+
+// controlFaultPenalty is the recompute delay, in cycles, of a route
+// computation hit by a control fault (see Config.ControlFaultRate).
+const controlFaultPenalty = 2
 
 // MaxVCs reports the compile-time bound on virtual channels per port,
 // so design-space tooling can reject impossible lattices up front.

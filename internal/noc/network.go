@@ -229,7 +229,7 @@ type Network struct {
 	// reallocate by. Like rOccVC, every row is written only by its own
 	// router's phases — except credits, which switch-allocation pops and
 	// bypass forwards return upstream from the coordinator's in-order
-	// commit pass — so the multi-shard phases stay race-free.
+	// router-pipeline pass — so the multi-shard phases stay race-free.
 	ivcs       []inputVC
 	vcBuf      []*Flit
 	credits    []int32
@@ -294,13 +294,6 @@ type Network struct {
 	// worker goroutines.
 	shardCount int
 	pool       *shardPool
-
-	// rcDraws banks one control-fault PRNG draw per qualifying (router,
-	// port, VC) slot for the current tick, filled by the coordinator in
-	// router order so the parallel VA+RC phase can consume the stream
-	// without reordering it. Flat layout: (id*NumPorts+p)*cfg.VCs+v. Only
-	// multi-shard ticks bank; one shard's rcStage draws inline.
-	rcDraws []float64
 
 	powersBuf []float64 // thermalStep scratch
 
@@ -530,9 +523,10 @@ func (n *Network) Step() { n.step(1 << 62) }
 
 // step is Step bounded so the fast-forward never jumps past maxCycles
 // (RunUntilDrained's truncation point). It is the only tick, at every
-// shard count: the per-router phases run through the shard pool (inline
-// for one shard), and their cross-router side effects commit in router
-// order after each phase (see shard.go).
+// shard count. Power+delivery and the staged link drain run through the
+// shard pool (inline for one shard), and their cross-router side effects
+// commit in router order after each phase; everything else, the router
+// pipelines included, runs on the coordinator (see shard.go).
 func (n *Network) step(maxCycles int64) {
 	if n.pool == nil || n.pool.closed.Load() {
 		n.pool = newShardPool(n, n.shardCount)
@@ -589,56 +583,28 @@ func (n *Network) step(maxCycles int64) {
 		}
 	}
 
-	// 4. Router pipelines (or bypass switches). A router whose input
-	// buffers are empty has nothing for RC/VA/SA to do — skip its
-	// port×VC scans outright. Buffered flits imply an active router (a
-	// router gates only once drained, and nothing is delivered to or
-	// injected into a gated or waking one), so the buffered-flit count is
-	// the one word tested per router; only bypass designs also read the
-	// gated flag, and only for drained routers.
-	if n.shardCount == 1 {
-		// Fused: sa;va;rc per router in router order, touching each
-		// router's VC state once.
-		slot := sp.slots[0]
-		bypass := n.cfg.Bypass
-		for id, c := range n.rBufCount {
-			switch {
-			case c > 0:
-				r := n.routers[id]
-				n.saStage(r, cy)
-				n.vaStage(r, cy)
-				n.rcStage(r, cy, slot)
-			case bypass && n.rGated[id]:
-				n.bypassStep(n.routers[id], cy)
-			}
+	// 4. Router pipelines (or bypass switches): sa;va;rc fused per router
+	// in router order on the coordinator, at every shard count, touching
+	// each router's VC state once. Arbitration returns credits upstream
+	// at once, and a higher-numbered router sees them this same cycle
+	// (see shard.go), so the order is part of the semantics. A router
+	// whose input buffers are empty has nothing for RC/VA/SA to do —
+	// skip its port×VC scans outright. Buffered flits imply an active
+	// router (a router gates only once drained, and nothing is delivered
+	// to or injected into a gated or waking one), so the buffered-flit
+	// count is the one word tested per router; only bypass designs also
+	// read the gated flag, and only for drained routers.
+	bypass := n.cfg.Bypass
+	for id, c := range n.rBufCount {
+		switch {
+		case c > 0:
+			r := n.routers[id]
+			n.saStage(r, cy)
+			n.vaStage(r, cy)
+			n.rcStage(r, cy)
+		case bypass && n.rGated[id]:
+			n.bypassStep(n.routers[id], cy)
 		}
-	} else {
-		// 4a. Parallel switch-allocation request-mask build.
-		sp.runPhase(phaseSABuild, cy)
-		// 4b. Ordered commit: bypass switches and switch arbitration with
-		// traversal/ejection, in router-index order. This is where the
-		// same-cycle credit chain, the link-fault PRNG draws, and the
-		// power meter accumulation happen, all in the fused order.
-		bypass := n.cfg.Bypass
-		for id, has := range sp.hasReq {
-			switch {
-			case has:
-				sp.hasReq[id] = false
-				n.saCommit(n.routers[id], cy, &sp.req[id])
-			case bypass && n.rGated[id]:
-				n.bypassStep(n.routers[id], cy)
-			}
-		}
-		// 4c. VA + RC, fanned out, on control-fault draws banked in
-		// router order (see predrawControlFaults).
-		if n.cfg.ControlFaultRate > 0 {
-			n.predrawControlFaults()
-		}
-		sp.runPhase(phaseVARC, cy)
-	}
-	for _, slot := range sp.slots {
-		n.controlFaults += slot.controlFaults
-		slot.controlFaults = 0
 	}
 
 	// 5. NIC injection into active routers (gated mode-0 routers
@@ -1039,23 +1005,17 @@ func (n *Network) runningWinOcc(k int) uint64 {
 const _ = uint(64 - NumPorts*maxVCs) // compile-time: NumPorts*maxVCs <= 64
 
 // saStage performs switch allocation and traversal: one flit per output
-// port, one per input port, credits permitting.
-func (n *Network) saStage(r *Router, cy int64) {
-	var req [NumPorts]uint64
-	n.saBuild(r, &req)
-	n.saCommit(r, cy, &req)
-}
-
-// saBuild is the read-only half of switch allocation: one pass over the
+// port, one per input port, credits permitting. One pass over the
 // occupied input VCs builds a request mask per output port (bit
 // p*VCs+v), so arbitration only touches slots that actually hold a routed
-// flit — the hot loop of the whole simulator. It reads nothing outside
-// the router, which is what lets a multi-shard tick run it in parallel
-// across shards: the request set a router sees is the same whether its
-// neighbours' commits have run or not (commits never touch another
-// router's input VCs).
-func (n *Network) saBuild(r *Router, req *[NumPorts]uint64) {
-	*req = [NumPorts]uint64{}
+// flit — the hot loop of the whole simulator.
+//
+// One flit leaves each input port per cycle: used collects the slots of
+// every input port already granted, and is cleared from each later
+// output's request mask before it arbitrates. That is exact — a
+// requester arbitrateOutput skips has no side effects.
+func (n *Network) saStage(r *Router, cy int64) {
+	var req [NumPorts]uint64
 	base := n.vcIndex(r.id, 0, 0)
 	row := n.ivcs[base : base+NumPorts*n.cfg.VCs]
 	for m := n.rOccVC[r.id]; m != 0; m &= m - 1 {
@@ -1066,19 +1026,6 @@ func (n *Network) saBuild(r *Router, req *[NumPorts]uint64) {
 		}
 		req[ivc.route] |= 1 << slot
 	}
-}
-
-// saCommit is the mutating half of switch allocation: arbitration, buffer
-// pops, credit returns, link traversal, ejection. Credits returned here
-// are visible to higher-numbered routers within the same cycle, so a
-// multi-shard tick runs all commits on the coordinator in router-index
-// order — exactly the fused schedule — after the parallel build phase.
-//
-// One flit leaves each input port per cycle: used collects the slots of
-// every input port already granted, and is cleared from each later
-// output's request mask before it arbitrates. That is exact — a
-// requester arbitrateOutput skips has no side effects.
-func (n *Network) saCommit(r *Router, cy int64, req *[NumPorts]uint64) {
 	var used uint64
 	portMask := uint64(1)<<n.cfg.VCs - 1
 	for outP := 0; outP < NumPorts; outP++ {
@@ -1208,12 +1155,10 @@ func (n *Network) allocVC(r *Router, ivc *inputVC, cy int64, withCredit bool) bo
 	return true
 }
 
-// rcStage routes head flits that just reached the head of their VC. The
-// control-fault count accumulates in the shard's slot. On a multi-shard
-// tick the control-fault PRNG draw comes from the coordinator's
-// pre-banked rcDraws; one shard draws inline from the stream, in the same
-// order.
-func (n *Network) rcStage(r *Router, cy int64, slot *shardSlot) {
+// rcStage routes head flits that just reached the head of their VC. With
+// ControlFaultRate > 0 each route draws from the fault PRNG, in router,
+// port, VC order.
+func (n *Network) rcStage(r *Router, cy int64) {
 	base := n.vcIndex(r.id, 0, 0)
 	row := n.ivcs[base : base+NumPorts*n.cfg.VCs]
 	for m := n.rOccVC[r.id]; m != 0; m &= m - 1 {
@@ -1229,54 +1174,17 @@ func (n *Network) rcStage(r *Router, cy int64, slot *shardSlot) {
 		route, class := n.route(r, f)
 		ivc.route, ivc.vcClass = int8(route), int8(class)
 		ivc.routedAt = cy
-		if n.cfg.ControlFaultRate > 0 {
-			var draw float64
-			if n.shardCount > 1 {
-				draw = n.rcDraws[base+s]
-			} else {
-				draw = n.rng.Float64()
-			}
-			if draw < n.cfg.ControlFaultRate {
-				// Parity caught a routing-table upset: recompute
-				// after the penalty (route itself stays correct).
-				penalty := int64(n.cfg.ControlFaultPenalty)
-				if penalty <= 0 {
-					penalty = 2
-				}
-				ivc.routedAt = cy + penalty
-				slot.controlFaults++
-			}
+		if n.cfg.ControlFaultRate > 0 && n.rng.Float64() < n.cfg.ControlFaultRate {
+			// Parity caught a routing-table upset: recompute after the
+			// penalty (the route itself stays correct).
+			ivc.routedAt = cy + controlFaultPenalty
+			n.controlFaults++
 		}
 		if !n.cfg.HasVAStage && !n.allocVC(r, ivc, cy, false) {
 			// EB-style routers fold VC selection into RC,
 			// eliminating the VA stage; without a free VC, retry
 			// allocation in later cycles.
 			ivc.route = -1
-		}
-	}
-}
-
-// predrawControlFaults banks one control-fault PRNG draw for every VC
-// that rcStage will route this tick, in exact (router, port, VC) order,
-// so a multi-shard tick can fan VA+RC out without reordering the stream.
-// Called by the coordinator after the commit pass, at the same
-// schedule point the parallel phase starts from; the qualifying set is
-// identical to what rcStage sees because (a) commits only mutate their
-// own router's input VCs, so post-commit state is final, and (b) vaStage
-// never changes a VC's buffered flits or clears its route, so running VA
-// first (as the phase does per router) cannot change who qualifies.
-func (n *Network) predrawControlFaults() {
-	if n.rcDraws == nil {
-		n.rcDraws = make([]float64, len(n.ivcs))
-	}
-	for id, occ := range n.rOccVC { // only active routers buffer flits
-		base := n.vcIndex(id, 0, 0)
-		for m := occ; m != 0; m &= m - 1 {
-			i := base + bits.TrailingZeros64(m)
-			if n.ivcs[i].route >= 0 || !n.vcAt(i, 0).Type.IsHead() {
-				continue
-			}
-			n.rcDraws[i] = n.rng.Float64()
 		}
 	}
 }
@@ -1443,9 +1351,9 @@ func (n *Network) sendOnLink(r *Router, op *outputPort, f *Flit, cy int64) {
 	op.winFlitsOut++
 	// With more than one shard the push is staged per destination shard
 	// and drained by the channel's owning shard at the end of the tick;
-	// the deferral is invisible within the tick (readyAt >= cy+2, and
-	// nothing between the commit pass and the drain reads channels). One
-	// shard pushes directly.
+	// the deferral is invisible within the tick (readyAt >= cy+2, so
+	// nothing before the drain can take the flit). One shard pushes
+	// directly.
 	k := op.downRouter*NumPorts + op.downPort
 	if sp := n.pool; n.shardCount > 1 {
 		slot := sp.slots[sp.shardOf[op.downRouter]]

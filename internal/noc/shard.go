@@ -19,15 +19,15 @@ import (
 // i's switch allocation pops a flit, the freed buffer slot's credit
 // returns to the upstream router immediately, and a higher-numbered router
 // j > i sees that credit within the same cycle's arbitration pass. So the
-// multi-shard schedule keeps every order-sensitive mutation — arbitration
-// with its credit chain, link PRNG draws, ejection, packet/flit id
-// assignment, floating-point meter flushes — on the coordinator in router
-// index order, and parallelizes only the per-router scans whose reads
-// provably cannot observe another router's same-phase writes:
+// router pipelines (phase 4: sa;va;rc fused per router, plus the bypass
+// switch of gated routers) run on the coordinator in router index order
+// at every shard count, together with the other order-sensitive work —
+// link PRNG draws, control-fault draws, ejection, packet/flit id
+// assignment, floating-point meter flushes. Only the per-router scans
+// whose reads provably cannot observe another router's same-phase writes
+// fan out, and each costs one barrier:
 //
 //	phase 2+3  power-state + channel deliveries   (own router/channels)
-//	phase 4a   SA request-mask build              (own input VCs)
-//	phase 4c   VA + RC after all SA commits       (own ports; no credits)
 //	phase 6    staged link-push drain             (own channels)
 //
 // No phase does per-router work for a router without work: the per-cycle
@@ -36,35 +36,16 @@ import (
 // shard skips it. Each scan reads one slab word per router and calls
 // into the router only when that word says there is work.
 //
-// Phase 4 is the only place the schedule forks on shard count. One shard
-// runs sa;va;rc fused per router in router order, touching each router's
-// VC state once per cycle. More shards split it into the parallel build,
-// the in-order commit and the parallel VA+RC above. Moving VA/RC after the
-// whole commit pass is safe because VA and RC read and write only their
-// own router's ports and never consult credits — the one cross-router
-// channel — and the per-router sa-before-va-before-rc order is preserved.
-// (Running one shard through the split schedule too was measured and
-// rejected: three passes over each router's VC state cost 10-13% of
-// simulated cycles/s.) When ControlFaultRate > 0, RC draws from the
-// control-fault PRNG, whose draw order must match the fused schedule;
-// since that stream is touched nowhere else and the set of VCs that draw
-// is fully determined once the commit pass is done, the coordinator
-// pre-draws the tick's values in router order (predrawControlFaults) and
-// the parallel VA+RC phase consumes the banked draws. One shard draws
-// inline, in the same order.
-//
-// Cross-router side effects of the phases (bufferedFlits, lastProgress,
-// the gated-router count, control-fault counts, event emission) are
-// accumulated per shard in a shardSlot and committed after the phase in
-// shard order, which equals router-index order. Event hooks therefore
-// fire only from the coordinating goroutine, in the same order at every
-// shard count — the single-goroutine guarantee SetEventHook documents.
+// Cross-router side effects of the parallel phases (bufferedFlits,
+// lastProgress, the gated-router count, event emission) are accumulated
+// per shard in a shardSlot and committed after the phase in shard order,
+// which equals router-index order. Event hooks therefore fire only from
+// the coordinating goroutine, in the same order at every shard count —
+// the single-goroutine guarantee SetEventHook documents.
 
 // Phase selectors for shardPool.runPhase.
 const (
 	phasePowerDeliver = iota
-	phaseSABuild
-	phaseVARC
 	phaseDrainLinks
 )
 
@@ -76,23 +57,21 @@ type shardSlot struct {
 	buffered      int     // bufferedFlits delta
 	progress      bool    // any delivery happened (lastProgress = cy)
 	gatedDelta    int     // power-phase change in the gated-router count
-	controlFaults uint64  // RC control-fault delta
 	// stagedLinks holds the link pushes bound for this shard's channels,
-	// appended by the coordinator during the commit pass and drained by
-	// the owning shard at the end of the tick (see stagedPush).
+	// appended by the coordinator during the router pipelines and drained
+	// by the owning shard at the end of the tick (see stagedPush).
 	stagedLinks []stagedPush
 }
 
 // stagedPush is one deferred linkPush into the channel at slab index
-// chanIdx. The commit pass runs entirely on the coordinator, and many of
-// its link pushes go into channels owned by other shards. Staging the
-// pushes per destination shard and draining them in the parallel drain
-// phase moves the ring work off the coordinator and keeps the channel
-// cache lines shard-local. The
-// deferral is invisible to the tick: a pushed flit's readyAt is at least
-// cy+2, every channel has exactly one upstream writer granting at most
-// one flit per cycle, and nothing between the commit pass and the drain
-// reads channels.
+// chanIdx. The router pipelines run entirely on the coordinator, and many
+// of their link pushes go into channels owned by other shards. Staging
+// the pushes per destination shard and draining them in the parallel
+// drain phase moves the ring work off the coordinator and keeps the
+// channel cache lines shard-local. The deferral is invisible to the tick:
+// a pushed flit's readyAt is at least cy+2, every channel has exactly one
+// upstream writer granting at most one flit per cycle, and nothing before
+// the drain can take a flit that is not yet ready.
 type stagedPush struct {
 	chanIdx int
 	flit    *Flit
@@ -118,20 +97,15 @@ type shardWorker struct {
 
 // shardPool runs the per-router scan phases over the shards. The
 // coordinating goroutine (whoever calls Step) executes shard 0 itself and
-// every in-order commit in between; workers 1..S-1 wait for the epoch
-// counter to advance, run the posted phase over their router range, and
-// signal completion. All cross-goroutine handoff is through sync/atomic,
+// everything in order between the phases; workers 1..S-1 wait for the
+// epoch counter to advance, run the posted phase over their router range,
+// and signal completion. All cross-goroutine handoff is through sync/atomic,
 // which the race detector understands. A one-shard pool has no workers.
 type shardPool struct {
 	n       *Network
 	lo, hi  []int   // router id range [lo, hi) per shard (contiguous, ascending)
 	shardOf []int32 // owning shard per router id
 	slots   []*shardSlot
-
-	// Switch-allocation request masks, indexed by router id: written by
-	// the owning shard in phase 4a, consumed by the coordinator in 4b.
-	req    [][NumPorts]uint64
-	hasReq []bool
 
 	cy      int64 // cycle being stepped; published by epoch.Add
 	phase   int   // phase to run; published by epoch.Add
@@ -143,12 +117,7 @@ type shardPool struct {
 
 func newShardPool(n *Network, shards int) *shardPool {
 	nodes := len(n.routers)
-	sp := &shardPool{
-		n:      n,
-		req:    make([][NumPorts]uint64, nodes),
-		hasReq: make([]bool, nodes),
-	}
-	sp.shardOf = make([]int32, nodes)
+	sp := &shardPool{n: n, shardOf: make([]int32, nodes)}
 	for s := 0; s < shards; s++ {
 		sp.lo = append(sp.lo, s*nodes/shards)
 		sp.hi = append(sp.hi, (s+1)*nodes/shards)
@@ -249,10 +218,6 @@ func (sp *shardPool) runShard(phase, s int) {
 	switch phase {
 	case phasePowerDeliver:
 		sp.powerDeliver(s)
-	case phaseSABuild:
-		sp.buildRequests(s)
-	case phaseVARC:
-		sp.vaRC(s)
 	case phaseDrainLinks:
 		sp.drainLinks(s)
 	}
@@ -289,39 +254,6 @@ func (sp *shardPool) powerDeliver(s int) {
 	for id := lo; id < hi; id++ {
 		if n.rMinReady[id] <= cy && n.active(id) {
 			n.deliverChannels(n.routers[id], cy, slot)
-		}
-	}
-}
-
-// buildRequests runs the read-only half of switch allocation for one
-// shard, mirroring the fused phase-4 dispatch: gated-with-bypass routers
-// are handled by the commit pass, quiescent routers are skipped. Neither
-// this phase nor any commit before it can change the condition or the
-// request masks a router would have seen at its turn in router order.
-func (sp *shardPool) buildRequests(s int) {
-	n := sp.n
-	for id, hi := sp.lo[s], sp.hi[s]; id < hi; id++ {
-		if n.rBufCount[id] > 0 { // buffered flits imply an active router
-			n.saBuild(n.routers[id], &sp.req[id])
-			sp.hasReq[id] = true
-		}
-	}
-}
-
-// vaRC runs VA then RC for one shard's routers, after every SA commit.
-// Safe in parallel: both stages touch only their own router's ports and
-// never read credits. Routers whose buffers drained during the commit
-// pass are skipped — on the fused schedule VA/RC would have run for them
-// and no-opped (both stages skip empty VCs). With control faults enabled,
-// RC consumes the draws the coordinator pre-banked in rcDraws
-// (predrawControlFaults) instead of the PRNG stream.
-func (sp *shardPool) vaRC(s int) {
-	n, cy, slot := sp.n, sp.cy, sp.slots[s]
-	for id, hi := sp.lo[s], sp.hi[s]; id < hi; id++ {
-		if n.rBufCount[id] > 0 {
-			r := n.routers[id]
-			n.vaStage(r, cy)
-			n.rcStage(r, cy, slot)
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 // sharded stepper: the plain wormhole baseline, MFAC channel storage,
 // CP-style power gating, the bypass route, thermally coupled faults with
 // payload verification, and the control-fault path (whose RC-stage PRNG
-// draws are pre-banked in router order by the coordinator so VA+RC still
-// runs in the parallel phase; see predrawControlFaults).
+// draws and delayed routes shift the flit timing the parallel delivery
+// and link-drain phases see).
 func shardCases() []struct {
 	name string
 	cfg  Config
@@ -31,7 +31,6 @@ func shardCases() []struct {
 
 	ctrlFault := testConfig()
 	ctrlFault.ControlFaultRate = 0.01
-	ctrlFault.ControlFaultPenalty = 3
 
 	noFF := testConfig()
 	noFF.PowerGating = true
@@ -234,6 +233,35 @@ func TestShardedEventOrder(t *testing.T) {
 				t.Fatal("expected a non-empty event stream")
 			}
 		})
+	}
+}
+
+// TestShardedStepBarriers pins the per-cycle barrier count: a full tick
+// on a busy multi-shard network posts exactly two parallel phases
+// (power+delivery and the link drain), so each Step advances the pool
+// epoch by exactly 2. Every barrier parks and wakes the workers, which
+// is what the sharded tick pays for, so a third must not creep back.
+func TestShardedStepBarriers(t *testing.T) {
+	cfg := testConfig()
+	cfg.Shards = 2
+	cfg.DisableIdleFastForward = true
+	n := steadyNetwork(t, cfg, 1)
+	defer n.Close()
+	for i := 0; i < 200; i++ {
+		n.Step()
+	}
+	for i := 0; i < 500; i++ {
+		if n.bufferedFlits == 0 {
+			t.Fatalf("cycle %d: no buffered flits; the test needs a busy network", n.Cycle())
+		}
+		cy, epoch := n.Cycle(), n.pool.epoch.Load()
+		n.Step()
+		if n.Cycle() != cy+1 {
+			t.Fatalf("cycle %d: Step advanced %d cycles, want 1", cy, n.Cycle()-cy)
+		}
+		if d := n.pool.epoch.Load() - epoch; d != 2 {
+			t.Fatalf("cycle %d: Step crossed %d barriers, want 2", cy, d)
+		}
 	}
 }
 
