@@ -158,7 +158,10 @@ func NewPolicyStore(dir string) (*PolicyStore, error) { return core.NewPolicySto
 func ParsecBenchmarks() []string { return traffic.ParsecBenchmarks() }
 
 // ParsecWorkload builds the Netrace-substitute workload model for one
-// PARSEC benchmark (see DESIGN.md for the substitution rationale).
+// PARSEC benchmark (see DESIGN.md for the substitution rationale). The
+// returned generator replays a shared, read-only stream: every call with
+// the same benchmark, mesh, packet count and seed replays the one
+// generation made for the first of them (DESIGN.md §6).
 func ParsecWorkload(name string, sim SimConfig, packets int) (Workload, error) {
 	return core.ParsecWorkload(name, sim, packets)
 }

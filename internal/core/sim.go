@@ -250,7 +250,12 @@ func PretrainTechnique(tech Technique, sim SimConfig, epochs, packetsPerEpoch in
 	return &Policy{ctrl: ctrl}, nil
 }
 
-// ParsecWorkload builds the workload model for one PARSEC benchmark.
+// ParsecWorkload builds the workload model for one PARSEC benchmark. The
+// returned generator is its own cursor over a shared, read-only stream
+// that traffic.NewParsec generates once per process for each benchmark,
+// mesh, packet count and seed, so the runs of a comparison matrix, and
+// the pretraining epochs of PretrainTechnique calls that repeat a
+// SimConfig, do not regenerate it.
 func ParsecWorkload(name string, sim SimConfig, packets int) (traffic.Generator, error) {
 	sim = sim.withDefaults()
 	return traffic.NewParsec(name, sim.Width, sim.Height, packets, sim.Seed+271)

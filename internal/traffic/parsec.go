@@ -80,23 +80,19 @@ func ParsecProfileByName(name string) (ParsecProfile, error) {
 	return ParsecProfile{}, fmt.Errorf("traffic: unknown PARSEC benchmark %q", name)
 }
 
-// Parsec generates the workload model for one benchmark.
+// Parsec is the workload model for one benchmark: a cursor over the
+// process-wide replay of its stream (memo.go), or, for a stream the
+// replay memo does not hold, the lazy generator itself.
 type Parsec struct {
 	profile ParsecProfile
-	width   int
-	nodes   int
-	budget  int
-	rng     *rand.Rand
-
-	cycle    int64
-	queue    []Packet
-	emitted  int
-	onState  []bool
-	hotspots []int
+	replay  streamCursor
+	gen     *parsecGen // nil when replaying
 }
 
 // NewParsec builds the generator for benchmark name on a width×height
-// mesh with the given total packet budget.
+// mesh with the given total packet budget. Every call returns its own
+// cursor; calls with the same arguments replay one shared, read-only
+// stream generated on the first of them.
 func NewParsec(name string, width, height, budget int, seed int64) (*Parsec, error) {
 	prof, err := ParsecProfileByName(name)
 	if err != nil {
@@ -105,16 +101,7 @@ func NewParsec(name string, width, height, budget int, seed int64) (*Parsec, err
 	if width <= 0 || height <= 0 || budget <= 0 {
 		return nil, fmt.Errorf("traffic: invalid parsec config")
 	}
-	nodes := width * height
-	return &Parsec{
-		profile:  prof,
-		width:    width,
-		nodes:    nodes,
-		budget:   budget,
-		rng:      rand.New(rand.NewSource(seed)),
-		onState:  make([]bool, nodes),
-		hotspots: []int{0, width - 1, nodes - width, nodes - 1},
-	}, nil
+	return parsecStreams.parsec(prof, width, height, budget, seed), nil
 }
 
 // Profile returns the benchmark's model parameters.
@@ -122,24 +109,60 @@ func (p *Parsec) Profile() ParsecProfile { return p.profile }
 
 // Next implements Generator.
 func (p *Parsec) Next() (Packet, bool) {
-	for {
-		if len(p.queue) > 0 {
-			pkt := p.queue[0]
-			// Shift-down pop: keeps the slice capacity anchored so the
-			// per-cycle refills below reuse it instead of reallocating.
-			copy(p.queue, p.queue[1:])
-			p.queue = p.queue[:len(p.queue)-1]
-			return pkt, true
-		}
-		if p.emitted >= p.budget {
-			return Packet{}, false
-		}
-		p.generateCycle()
-		p.cycle++
+	if p.gen != nil {
+		return p.gen.next()
+	}
+	return p.replay.next()
+}
+
+// parsecGen generates a benchmark's stream lazily, one trace cycle at a
+// time.
+type parsecGen struct {
+	profile ParsecProfile
+	width   int
+	nodes   int
+	budget  int
+	rng     *rand.Rand
+
+	cycle int64
+	// queue[head:] holds the packets of the last generated cycle not yet
+	// returned. A cycle is generated only once the queue is drained, so
+	// the queue empties in place and its capacity is reused.
+	queue    []Packet
+	head     int
+	emitted  int
+	onState  []bool
+	hotspots []int
+}
+
+func newParsecGen(prof ParsecProfile, width, height, budget int, seed int64) *parsecGen {
+	nodes := width * height
+	return &parsecGen{
+		profile:  prof,
+		width:    width,
+		nodes:    nodes,
+		budget:   budget,
+		rng:      rand.New(rand.NewSource(seed)),
+		onState:  make([]bool, nodes),
+		hotspots: []int{0, width - 1, nodes - width, nodes - 1},
 	}
 }
 
-func (p *Parsec) generateCycle() {
+func (p *parsecGen) next() (Packet, bool) {
+	for p.head == len(p.queue) {
+		if p.emitted >= p.budget {
+			return Packet{}, false
+		}
+		p.queue, p.head = p.queue[:0], 0
+		p.generateCycle()
+		p.cycle++
+	}
+	pkt := p.queue[p.head]
+	p.head++
+	return pkt, true
+}
+
+func (p *parsecGen) generateCycle() {
 	rate := p.profile.BaseRate * p.phaseMultiplier()
 	// Markov-modulated on/off burst process per node: ON nodes inject
 	// at an elevated rate, OFF nodes at a reduced one; the stationary
@@ -180,7 +203,7 @@ func (p *Parsec) generateCycle() {
 	}
 }
 
-func (p *Parsec) phaseMultiplier() float64 {
+func (p *parsecGen) phaseMultiplier() float64 {
 	phases := p.profile.Phases
 	if len(phases) == 0 {
 		return 1
@@ -192,7 +215,7 @@ func (p *Parsec) phaseMultiplier() float64 {
 	return phases[idx]
 }
 
-func (p *Parsec) destination(src int) int {
+func (p *parsecGen) destination(src int) int {
 	r := p.rng.Float64()
 	switch {
 	case r < p.profile.HotspotFraction:
