@@ -99,6 +99,62 @@ func BenchmarkNetworkCycleClosedLoop(b *testing.B) {
 	b.ReportMetric(float64(n.Cycle()-start)/b.Elapsed().Seconds(), "cycles/s")
 }
 
+// BenchmarkNetworkCyclePowerManaged measures the closed-loop canneal drain
+// of BenchmarkNetworkCycleClosedLoop on the two power-managed router
+// designs: /cp gates idle routers after IdleGateCycles (the CP baseline),
+// /bypass keeps every router in mode 0, so a drained router gates at once
+// and forwards through its bypass switch. With most NICs holding a packet
+// that waits on its dependency window, this prices the power phase's
+// deadline scan and the bypass switch's due-port skip. The bypass design
+// retires the backlog about 1.6 times as fast as CP (measured at about
+// 2.9 against 1.85 packets a cycle), so its trace is longer per timed
+// step.
+func BenchmarkNetworkCyclePowerManaged(b *testing.B) {
+	for _, tc := range []struct {
+		name         string
+		bypass       bool
+		ctrl         Controller
+		packetsPerOp int
+	}{
+		{"cp", false, nil, 3},
+		{"bypass", true, StaticController(ModeBypass), 8},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			cfg := channelConfig() // 2RB-4VC-8CB storage, as on CP and IntelliNoC
+			cfg.Width, cfg.Height = 8, 8
+			cfg.VCs = 4
+			cfg.DependencyWindow = 1
+			cfg.PowerGating = true
+			cfg.Bypass = tc.bypass
+			gen, err := traffic.NewParsec("canneal", 8, 8, tc.packetsPerOp*b.N+4000, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n, err := New(cfg, gen, tc.ctrl)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for !n.gen.Exhausted() {
+				n.Step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			start := n.Cycle()
+			for i := 0; i < b.N; i++ {
+				n.Step()
+			}
+			b.StopTimer()
+			if n.Drained() {
+				b.Fatal("the backlog drained before the timed steps ended")
+			}
+			if tc.bypass && n.gatedCycles == 0 {
+				b.Fatal("no router gated: the bypass switch went unmeasured")
+			}
+			b.ReportMetric(float64(n.Cycle()-start)/b.Elapsed().Seconds(), "cycles/s")
+		})
+	}
+}
+
 // BenchmarkNetworkCycleSharded measures the worker-pool stepper across
 // mesh sizes and shard counts — the shard-scaling curve. Both custom
 // metrics are cycle-deltas, not per-Step-call figures (Step fast-forwards

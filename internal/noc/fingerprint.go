@@ -70,8 +70,7 @@ const (
 	fRMode
 	fRGated
 	fRWaking
-	fRIdle
-	fRBypassLock
+	fRGateAt
 	fRBypassRR
 	fRBufCount
 	fRStaticCycles
@@ -153,8 +152,7 @@ var stateFieldNames = [numStateFields]string{
 	fRMode:           "router.mode",
 	fRGated:          "router.gated",
 	fRWaking:         "router.waking",
-	fRIdle:           "router.idle",
-	fRBypassLock:     "router.bypassLock",
+	fRGateAt:         "router.gateAt",
 	fRBypassRR:       "router.bypassRR",
 	fRBufCount:       "router.bufCount",
 	fRStaticCycles:   "router.staticCycles",
@@ -300,8 +298,13 @@ func (n *Network) visitState(emit func(f stateField, router, a, b int, v uint64)
 		emit(fRMode, id, 0, 0, uint64(r.mode))
 		emit(fRGated, id, 0, 0, u64b(n.rGated[id]))
 		emit(fRWaking, id, 0, 0, uint64(int64(n.rWaking[id])))
-		emit(fRIdle, id, 0, 0, uint64(int64(n.rIdle[id])))
-		emit(fRBypassLock, id, 0, 0, uint64(int64(r.bypassLock)))
+		// Only an idle CP router's gating deadline is architectural: a
+		// busy one's is dropped or re-armed before it can matter, and
+		// which of the two it holds depends on the same-cycle order of
+		// link pushes, which differs between shard counts.
+		if n.cpGate && n.active(id) && n.idle(id) {
+			emit(fRGateAt, id, 0, 0, uint64(n.gateAt[id]))
+		}
 		emit(fRBypassRR, id, 0, 0, uint64(int64(r.bypassRR)))
 		emit(fRBufCount, id, 0, 0, uint64(int64(n.rBufCount[id])))
 		emit(fRStaticCycles, id, 0, 0, n.staticSpan(id))

@@ -157,8 +157,18 @@ type Network struct {
 	// router has work.
 	rGated    []bool  // router body power-gated
 	rWaking   []int32 // wake-up countdown (0 = not waking)
-	rIdle     []int32 // CP-style idle streak toward the gate threshold
 	rBufCount []int32 // total flits across the router's input VC buffers
+	// cpGate marks CP-style idle gating (PowerGating without Bypass).
+	// gateAt is then each router's gating deadline: the power check at
+	// which it gates if it stays idle (no buffered flit, no channel flit,
+	// no pending NIC packet). An idle router's deadline is IdleGateCycles
+	// after the last cycle its check found it busy, which is the cycle a
+	// buffer drain left it idle (armGate); wake completion re-arms it. The
+	// power phase visits an ungated router only once its deadline is due,
+	// and a router still busy there drops it (noReady) until the next
+	// drain re-arms it. Only an idle router's deadline means anything.
+	cpGate bool
+	gateAt []int64
 	// rBypassMode mirrors Router.mode == ModeBypass (written only by
 	// applyMode), so the bypass-design power phase finds the routers
 	// that may gate without loading the Router structs.
@@ -359,7 +369,8 @@ func New(cfg Config, gen traffic.Generator, ctrl Controller) (*Network, error) {
 
 		rGated:      make([]bool, nodes),
 		rWaking:     make([]int32, nodes),
-		rIdle:       make([]int32, nodes),
+		cpGate:      cfg.PowerGating && !cfg.Bypass,
+		gateAt:      make([]int64, nodes),
 		rBufCount:   make([]int32, nodes),
 		rBypassMode: make([]bool, nodes),
 		staticFrom:  make([]int64, nodes),
@@ -387,6 +398,7 @@ func New(cfg Config, gen traffic.Generator, ctrl Controller) (*Network, error) {
 		nics[i].curVC = -1
 		n.nics[i] = &nics[i]
 		n.nicReady[i] = noReady
+		n.gateAt[i] = n.gateDelay() - 1 // idle from cycle 0
 	}
 	// Static policies apply from cycle 0; adaptive controllers start
 	// from their own initial mode (SetInitialMode) and take over at the
@@ -429,7 +441,7 @@ func (n *Network) buildTopology() {
 		r := &routers[id]
 		*r = Router{
 			id: id, x: x, y: y,
-			mode: ModeSECDED, bypassLock: -1,
+			mode:       ModeSECDED,
 			lastScheme: ecc.SchemeSECDED,
 		}
 		// Local input port always exists (injection).
@@ -593,8 +605,10 @@ func (n *Network) step(maxCycles int64) {
 	// router (a router gates only once drained, and nothing is delivered
 	// to or injected into a gated or waking one), so the buffered-flit
 	// count is the one word tested per router; only bypass designs also
-	// read the gated flag, and only for drained routers.
-	bypass := n.cfg.Bypass
+	// read the gated flag, and only for drained routers. A gated router's
+	// bypass switch runs only when a channel flit or its NIC is due: with
+	// neither, every port's peek refuses without side effects.
+	bypass, cpGate := n.cfg.Bypass, n.cpGate
 	for id, c := range n.rBufCount {
 		switch {
 		case c > 0:
@@ -602,7 +616,10 @@ func (n *Network) step(maxCycles int64) {
 			n.saStage(r, cy)
 			n.vaStage(r, cy)
 			n.rcStage(r, cy)
-		case bypass && n.rGated[id]:
+			if cpGate && n.rBufCount[id] == 0 {
+				n.armGate(id, cy) // drained this cycle
+			}
+		case bypass && n.rGated[id] && (n.rMinReady[id] <= cy || n.nicReady[id] <= cy):
 			n.bypassStep(n.routers[id], cy)
 		}
 	}
@@ -670,12 +687,11 @@ func (n *Network) admitStep(cy int64) {
 // empty NIC, or a head packet held by its dependency window or NACK
 // delay, and return without touching any state.
 func (n *Network) injectPhase(cy int64) {
-	cpWake := n.cfg.PowerGating && !n.cfg.Bypass // only CP-style routers gate without a bypass
 	for id, t := range n.nicReady {
 		switch {
 		case t <= cy && n.active(id):
 			n.injectStep(n.routers[id], n.nics[id], cy)
-		case cpWake && n.rGated[id] && n.rWaking[id] == 0 && n.nics[id].pending() && n.triggerWake(n.routers[id]):
+		case n.cpGate && n.rGated[id] && n.rWaking[id] == 0 && n.nics[id].pending() && n.triggerWake(n.routers[id]):
 			n.emit(Event{Cycle: cy, Kind: EvWake, Router: id})
 		}
 	}
@@ -754,16 +770,14 @@ func (n *Network) idleSpan() int64 {
 		if e != noReady && e-cy < bound {
 			bound = e - cy
 		}
-		// CP-style idle gating: the idle streak counts up toward the
-		// gating threshold; the gating transition must not be skipped.
-		if n.cfg.PowerGating && !n.cfg.Bypass && !n.rGated[id] && e == noReady {
-			left := int64(n.cfg.IdleGateCycles) - int64(n.rIdle[id])
-			if left <= 1 {
+		// CP-style idle gating: the router (idle, as every buffer and
+		// NIC is empty) gates at its deadline, which must not be skipped.
+		if n.cpGate && !n.rGated[id] && e == noReady {
+			left := n.gateAt[id] - cy
+			if left <= 0 {
 				return 0
 			}
-			if left-1 < bound {
-				bound = left - 1
-			}
+			bound = min(bound, left)
 		}
 	}
 	if d := n.untilBoundary(cy, int64(n.cfg.ThermalIntervalCycles)); d < bound {
@@ -787,25 +801,15 @@ func (n *Network) untilBoundary(cy, interval int64) int64 {
 // change during the span.
 //
 // The static spans and the prepaid window occupancies need nothing (every
-// buffer is empty, so no occupancy changes), and the gated set is fixed
-// for the span, so only the wake countdowns and the CP idle streaks are
-// walked — and only on designs that can gate at all.
+// buffer is empty, so no occupancy changes), the gated set is fixed for
+// the span, and the CP gating deadlines are absolute cycles, so only the
+// wake countdowns are walked — and only on designs that can gate at all.
 func (n *Network) fastForward(k int64) {
 	n.gatedCycles += uint64(k) * uint64(n.nGated)
 	if n.cfg.PowerGating || n.cfg.Bypass {
-		cpIdle := n.cfg.PowerGating && !n.cfg.Bypass
-		for id := range n.rWaking {
-			if n.rWaking[id] > 0 {
+		for id, w := range n.rWaking {
+			if w > 0 {
 				n.rWaking[id] -= int32(k) // idleSpan bounds k <= waking-1
-				continue
-			}
-			if n.rGated[id] || !cpIdle {
-				continue
-			}
-			if n.hasChannelTraffic(id) {
-				n.rIdle[id] = 0
-			} else {
-				n.rIdle[id] += int32(k) // idleSpan keeps this below the gate threshold
 			}
 		}
 	}
@@ -830,6 +834,9 @@ func (n *Network) powerStateStep(r *Router, cy int64, slot *shardSlot) {
 			n.rGated[id] = false
 			slot.gatedDelta--
 			n.flushStatic(r)
+			if n.cpGate {
+				n.gateAt[id] = cy + n.gateDelay()
+			}
 		}
 		return
 	}
@@ -849,27 +856,45 @@ func (n *Network) powerStateStep(r *Router, cy int64, slot *shardSlot) {
 		n.emitGate(slot, Event{Cycle: cy, Kind: EvGate, Router: id})
 		return
 	}
-	// CP-style idle gating: a long-enough idle streak powers the
-	// router down.
-	if n.cfg.PowerGating && !n.cfg.Bypass {
-		if n.empty(id) && !n.hasChannelTraffic(id) && !n.nics[id].pending() {
-			n.rIdle[id]++
-			if int(n.rIdle[id]) >= n.cfg.IdleGateCycles {
-				n.flushStatic(r)
-				n.rGated[id] = true
-				slot.gatedDelta++
-				n.rIdle[id] = 0
-				n.emitGate(slot, Event{Cycle: cy, Kind: EvGate, Router: id})
-			}
+	// CP-style idle gating: the caller visits an ungated router only at
+	// its deadline (gateAt <= cy). Idle there, it has been idle for
+	// IdleGateCycles checks and powers down; busy, it drops the deadline
+	// until a drain re-arms it.
+	if n.cpGate {
+		if n.idle(id) {
+			n.flushStatic(r)
+			n.rGated[id] = true
+			slot.gatedDelta++
+			n.emitGate(slot, Event{Cycle: cy, Kind: EvGate, Router: id})
 		} else {
-			n.rIdle[id] = 0
+			n.gateAt[id] = noReady
 		}
 	}
 }
 
-// hasChannelTraffic reports whether any input channel of router id holds
-// a flit.
-func (n *Network) hasChannelTraffic(id int) bool { return n.rMinReady[id] != noReady }
+// idle reports whether router id has no buffered flit, no channel flit
+// and no pending NIC packet: the state CP-style gating waits out.
+func (n *Network) idle(id int) bool {
+	return n.rBufCount[id] == 0 && n.rMinReady[id] == noReady && !n.nics[id].pending()
+}
+
+// gateDelay is the number of idle power checks after which a CP-style
+// router gates (an IdleGateCycles below 1 gates at the first one).
+func (n *Network) gateDelay() int64 { return int64(max(n.cfg.IdleGateCycles, 1)) }
+
+// armGate restarts CP router id's gating deadline when its pipeline
+// drained its buffers at cycle cy and that left it idle. A drain is the
+// only change that can: a channel delivery and a NIC injection each move
+// their flit into the router's own buffer, and a gated or waking router's
+// traffic stays put until it is active again. The check runs once the
+// router's pipeline pass is over, not at the pop that emptied its
+// buffers: the rest of the pass cannot make the router idle, so one that
+// is idle at its next check is armed either way.
+func (n *Network) armGate(id int, cy int64) {
+	if n.idle(id) {
+		n.gateAt[id] = cy + n.gateDelay()
+	}
+}
 
 // refreshMinReady recomputes router id's earliest-ready word from its
 // input channels' slots, after a removal that may have raised one.
@@ -1192,9 +1217,23 @@ func (n *Network) rcStage(r *Router, cy int64) {
 // bypassStep forwards flits through a gated router's stress-relaxing
 // bypass switch: one flit per cycle, channel-to-channel, with routing
 // state held in the always-on BST (the inputVC rows).
+//
+// A port with nothing due is skipped without a peek: a channel whose
+// earliest-ready slot lies in the future (or that is absent) holds no
+// ready flit, so peekReady would refuse before consulting its sink, and a
+// NIC before its eligibility word refuses in peekNICFlit with no side
+// effects. The round robin moves only on a forward, so the skip is exact.
 func (n *Network) bypassStep(r *Router, cy int64) {
+	base := r.id * NumPorts
 	for k := 0; k < NumPorts; k++ {
 		p := (r.bypassRR + k) % NumPorts
+		due := n.inMinReady[base+p]
+		if p == PortLocal && r.in[p].ch == nil {
+			due = n.nicReady[r.id] // NIC injection, see tryBypassPort
+		}
+		if due > cy {
+			continue
+		}
 		if n.tryBypassPort(r, p, cy) {
 			r.bypassRR = (p + 1) % NumPorts
 			n.lastProgress = cy
@@ -2056,6 +2095,13 @@ func (n *Network) CheckInvariants() error {
 		}
 		if got, want := n.nicReady[id], n.nicWake(n.nics[id]); got != want {
 			return fmt.Errorf("noc: NIC %d eligibility word = %d, its queue and window allow injection from cycle %d", id, got, want)
+		}
+		// An idle CP router's power check must still come due: at the
+		// next cycle at the earliest, one full idle streak away at most.
+		if n.cpGate && n.active(id) && n.idle(id) {
+			if at, last := n.gateAt[id], n.cycle-1+n.gateDelay(); at < n.cycle || at > last {
+				return fmt.Errorf("noc: idle router %d gates at cycle %d, outside cycles %d..%d", id, at, n.cycle, last)
+			}
 		}
 		if n.rOccVC[id] != occVC {
 			return fmt.Errorf("noc: router %d rOccVC = %#x, buffers occupy %#x", id, n.rOccVC[id], occVC)

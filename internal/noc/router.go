@@ -151,12 +151,12 @@ func (n *Network) portOccupancy(id, p int) int {
 }
 
 // Router is one mesh router. The per-cycle hot fields — power state
-// (gated/waking/idle, and whether the mode is bypass), the buffered-flit
-// count, the occupied-VC mask, the earliest channel flit and the start of
-// the static-power span — live in flat Network slabs indexed by router id
-// (rGated, rWaking, rIdle, rBypassMode, rBufCount, rOccVC, rMinReady,
-// staticFrom), so the sharded scans walk contiguous memory instead of
-// chasing one pointer per router.
+// (gated/waking, the CP gating deadline, and whether the mode is bypass),
+// the buffered-flit count, the occupied-VC mask, the earliest channel flit
+// and the start of the static-power span — live in flat Network slabs
+// indexed by router id (rGated, rWaking, gateAt, rBypassMode, rBufCount,
+// rOccVC, rMinReady, staticFrom), so the sharded scans walk contiguous
+// memory instead of chasing one pointer per router.
 type Router struct {
 	id, x, y int
 	in       [NumPorts]*inputPort
@@ -165,10 +165,7 @@ type Router struct {
 	// mode is the operation mode in force this time step.
 	mode Mode
 
-	// Bypass wormhole lock: while a packet streams through the bypass
-	// switch, it holds the switch until its tail passes.
-	bypassLock int // input port, or -1
-	bypassRR   int
+	bypassRR int // bypass switch's round-robin input port
 
 	// Static-power accounting: the (scheme, gated) state the unbanked
 	// span since Network.staticFrom belongs to, refreshed on transitions.

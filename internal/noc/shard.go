@@ -228,10 +228,11 @@ func (sp *shardPool) runShard(phase, s int) {
 // 2-before-3 order for every router pair that interacts (a router's
 // delivery only touches its own channels and buffers, which no other
 // router's power-state step reads). Without power gating or bypass no
-// router can ever gate or wake, so phase 2 is skipped. CP-style gating
-// visits every router (the idle streak counts each cycle); bypass designs
-// visit only the routers powerStateStep can change there — waking ones,
-// and ungated mode-0 ones that gate once drained. Deliveries go to every
+// router can ever gate or wake, so phase 2 is skipped. Elsewhere it visits
+// only the routers powerStateStep can change this cycle: waking ones, and
+// on bypass designs ungated mode-0 ones that gate once drained; on
+// CP-style designs gated ones with a channel flit ready (which wakes
+// them) and ungated ones whose gating deadline is due. Deliveries go to every
 // active router with a channel flit ready this cycle: a mode-0 router
 // keeps its pipeline fully operational until its buffers happen to drain
 // — refusing deliveries to force a drain would let two adjacent mode-0
@@ -248,7 +249,13 @@ func (sp *shardPool) powerDeliver(s int) {
 		}
 	case n.cfg.PowerGating:
 		for id := lo; id < hi; id++ {
-			n.powerStateStep(n.routers[id], cy, slot)
+			due := n.gateAt[id]
+			if n.rGated[id] {
+				due = n.rMinReady[id]
+			}
+			if n.rWaking[id] > 0 || due <= cy {
+				n.powerStateStep(n.routers[id], cy, slot)
+			}
 		}
 	}
 	for id := lo; id < hi; id++ {

@@ -92,7 +92,11 @@ type Synthetic struct {
 	addrBits int
 	rng      *rand.Rand
 	cycle    int64
-	queue    []Packet // packets generated for the current cycle
+	// queue[head:] holds the packets of the last generated cycle not yet
+	// returned; a cycle is generated only once it is drained, so the
+	// queue empties in place and its capacity is reused.
+	queue    []Packet
+	head     int
 	emitted  int
 	hotspots []int
 }
@@ -149,17 +153,15 @@ func NewSynthetic(cfg SyntheticConfig) (*Synthetic, error) {
 // Next implements Generator.
 func (s *Synthetic) Next() (Packet, bool) {
 	for {
-		if len(s.queue) > 0 {
-			p := s.queue[0]
-			// Shift-down pop: keeps the slice capacity anchored so the
-			// per-cycle refills below reuse it instead of reallocating.
-			copy(s.queue, s.queue[1:])
-			s.queue = s.queue[:len(s.queue)-1]
+		if s.head < len(s.queue) {
+			p := s.queue[s.head]
+			s.head++
 			return p, true
 		}
 		if s.emitted >= s.cfg.Packets {
 			return Packet{}, false
 		}
+		s.queue, s.head = s.queue[:0], 0
 		// Bernoulli trial per node for the current cycle. The rate is
 		// flits/node/cycle, so the per-cycle packet probability is
 		// rate / flitsPerPacket.
