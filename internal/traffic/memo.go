@@ -14,16 +14,11 @@ import (
 // bit-exact by construction.
 
 // streamMemoBytes bounds the packed bytes parsecStreams retains; the
-// least recently used streams are evicted past it to make room for a
-// stream whose key has missed before (see streamMemo.seen). It holds
-// 262,144 packets: the quick suite's 16 streams take 840,000 bytes of it.
-// A retained byte costs about two of peak RSS once the GC's headroom is
+// least recently used streams are evicted past it. It holds 262,144
+// packets: the quick suite's 16 streams take 840,000 bytes of it. A
+// retained byte costs about two of peak RSS once the GC's headroom is
 // counted, so the bound is kept near what one comparison suite uses.
 const streamMemoBytes = 1 << 20
-
-// seenKeys bounds the memo's doorkeeper (see streamMemo.seen): it
-// forgets every key once it holds this many.
-const seenKeys = 1024
 
 // A packed record is one uint32: the time delta from the previous
 // packet (bits 24-31), src (16-23), dst (8-15) and flits (0-7). A delta
@@ -131,11 +126,6 @@ type streamMemo struct {
 	entries map[streamKey]*memoEntry
 	lru     list.List // retained entries, most recently used first
 	bytes   int       // packed bytes of the retained entries
-	// seen is the doorkeeper: the keys that missed since it was last
-	// cleared. A stream that fits beside the retained ones is retained at
-	// once; one that would evict another is retained only on its key's
-	// second miss, so streams used once cannot push reusable ones out.
-	seen map[streamKey]struct{}
 	// generations counts the streams generated, for tests.
 	generations int
 }
@@ -143,30 +133,12 @@ type streamMemo struct {
 var parsecStreams = newStreamMemo(streamMemoBytes)
 
 func newStreamMemo(limit int) *streamMemo {
-	return &streamMemo{
-		limit:   limit,
-		entries: make(map[streamKey]*memoEntry),
-		seen:    make(map[streamKey]struct{}),
-	}
-}
-
-// missed records a miss on key in the doorkeeper and reports whether the
-// key had missed before.
-func (m *streamMemo) missed(key streamKey) bool {
-	if _, ok := m.seen[key]; ok {
-		return true
-	}
-	if len(m.seen) >= seenKeys {
-		clear(m.seen)
-	}
-	m.seen[key] = struct{}{}
-	return false
+	return &streamMemo{limit: limit, entries: make(map[streamKey]*memoEntry)}
 }
 
 // stream returns the packed stream for key, running generate on a miss.
-// A stream generate cannot pack (nil), one larger than the limit, or one
-// the doorkeeper turns away is returned to the callers that waited on it
-// but not retained.
+// A stream generate cannot pack (nil), or one larger than the limit, is
+// returned to the callers that waited on it but not retained.
 func (m *streamMemo) stream(key streamKey, generate func() *packedStream) *packedStream {
 	m.mu.Lock()
 	if e, ok := m.entries[key]; ok {
@@ -180,14 +152,13 @@ func (m *streamMemo) stream(key streamKey, generate func() *packedStream) *packe
 	e := &memoEntry{key: key, done: make(chan struct{})}
 	m.entries[key] = e
 	m.generations++
-	again := m.missed(key)
 	m.mu.Unlock()
 
 	s := generate()
 
 	m.mu.Lock()
 	e.stream = s
-	if s == nil || s.bytes() > m.limit || (m.bytes+s.bytes() > m.limit && !again) {
+	if s == nil || s.bytes() > m.limit {
 		delete(m.entries, key)
 	} else {
 		e.elem = m.lru.PushFront(e)

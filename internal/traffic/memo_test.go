@@ -210,12 +210,6 @@ func TestStreamMemoStaysWithinItsBound(t *testing.T) {
 	}
 	m.parsec(prof, 8, 8, budget, 1) // seed 1 is now the most recent
 	for seed := int64(5); seed <= 7; seed++ {
-		// The memo is full: the doorkeeper retains a stream that evicts
-		// another only on its key's second miss.
-		m.parsec(prof, 8, 8, budget, seed)
-		if m.retained(key(seed)) {
-			t.Fatalf("seed %d retained on its first miss into a full memo", seed)
-		}
 		m.parsec(prof, 8, 8, budget, seed)
 		if m.bytes > m.limit {
 			t.Fatalf("retained %d bytes, limit %d", m.bytes, m.limit)
@@ -252,38 +246,6 @@ func TestStreamMemoStaysWithinItsBound(t *testing.T) {
 	}
 	if g := mustParsec(t, "canneal", 8, 8, streamMemoBytes/recordBytes+1, 1); g.gen == nil {
 		t.Error("NewParsec memoized a stream over streamMemoBytes")
-	}
-}
-
-// TestStreamMemoDoorkeeperKeepsWorkingSet interleaves streams used once
-// with a reused working set that fills the memo: the one-shot streams are
-// not retained, so the working set stays resident and is generated once.
-func TestStreamMemoDoorkeeperKeepsWorkingSet(t *testing.T) {
-	prof, _ := ParsecProfileByName("canneal")
-	const budget = 4000 // 16000 packed bytes: four fit in the limit
-	m := newStreamMemo(64 << 10)
-	const rounds = 20
-	for round := int64(0); round < rounds; round++ {
-		m.parsec(prof, 8, 8, budget, 1000+round) // used once
-		for seed := int64(1); seed <= 4; seed++ {
-			m.parsec(prof, 8, 8, budget, seed)
-		}
-	}
-	// The first one-shot stream fits the empty memo and is retained, so
-	// working-set seed 4 is turned away on its first miss and evicts it on
-	// its second. Every later one-shot stream is turned away; without the
-	// doorkeeper each would evict the working set's least recent stream,
-	// and every round would miss five times.
-	if got, want := m.generations, rounds+4+1; got != want {
-		t.Fatalf("%d generations, want %d", got, want)
-	}
-	for seed := int64(1); seed <= 4; seed++ {
-		if !m.retained(streamKey{bench: "canneal", width: 8, height: 8, budget: budget, seed: seed}) {
-			t.Errorf("working-set seed %d evicted", seed)
-		}
-	}
-	if m.bytes > m.limit {
-		t.Fatalf("retained %d bytes, limit %d", m.bytes, m.limit)
 	}
 }
 
