@@ -70,7 +70,9 @@ func BenchmarkNetworkCycleChannelBuffered(b *testing.B) {
 // cycle. That prices the per-router and per-NIC scans of the tick rather
 // than the per-flit pipeline. The warmup admits the whole trace — sized
 // so the backlog outlasts the timed steps — so the timed span is that
-// drain, in steady state.
+// drain, in steady state. The backlog waits as 32-byte trace records; a
+// packet gets its record, from the record slab's free list, only when it
+// starts, so the drain makes no allocation however long the trace.
 func BenchmarkNetworkCycleClosedLoop(b *testing.B) {
 	cfg := testConfig()
 	cfg.Width, cfg.Height = 8, 8

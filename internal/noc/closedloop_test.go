@@ -125,13 +125,43 @@ func TestDependencyWindowPreservesComputeGaps(t *testing.T) {
 }
 
 func TestDependencyWindowWithRetransmissions(t *testing.T) {
-	// End-to-end retries must not wedge a W=1 closed loop.
+	// End-to-end retries must not wedge a W=1 closed loop. A retry keeps
+	// its record and goes ahead of the waiting packets, so the live
+	// records stay within nodes × window plus the pending retries, and
+	// the record audit holds throughout.
 	cfg := channelConfig()
 	cfg.DependencyWindow = 1
 	cfg.ForcedErrorRate = 3e-4
-	res := runAndCheck(t, cfg, uniformGen(t, cfg, 0.1, 1200), StaticController(ModeCRC))
-	if res.E2ERetransmits == 0 {
-		t.Fatal("expected end-to-end retransmissions at this error rate")
+	n, err := New(cfg, uniformGen(t, cfg, 0.1, 1200), StaticController(ModeCRC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending := 0
+	for i := 0; !n.Drained() && n.Cycle() < 1_000_000; i++ {
+		n.Step()
+		retries := 0
+		for _, q := range n.nics {
+			retries += len(q.retry)
+		}
+		pending = max(pending, retries)
+		if live, limit := n.liveRecs(), len(n.nics)*cfg.DependencyWindow+retries; live > limit {
+			t.Fatalf("cycle %d: %d live packet records, above %d", n.Cycle(), live, limit)
+		}
+		if i%97 == 0 {
+			if err := n.CheckInvariants(); err != nil {
+				t.Fatalf("cycle %d: %v", n.Cycle(), err)
+			}
+		}
+	}
+	if !n.Drained() {
+		t.Fatal("run did not drain")
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	res := n.Snapshot()
+	if res.E2ERetransmits == 0 || pending == 0 {
+		t.Fatal("expected pending end-to-end retransmissions at this error rate")
 	}
 	if res.PacketsDelivered+res.PacketsFailed != 1200 {
 		t.Fatalf("lost packets: %+v", res)
@@ -260,5 +290,84 @@ func TestWindowObservationsMatchPerCycleSums(t *testing.T) {
 				t.Fatal("no router gated: the gated-cycle check compared nothing")
 			}
 		})
+	}
+}
+
+// TestClosedLoopRecordsBounded checks that a closed loop keeps packet
+// records only for the packets it has started. Under an 8×8 canneal trace
+// with one packet outstanding per core, the trace issues packets faster
+// than the loop retires them, so the NICs back up a waiting queue that
+// grows with the trace. At every step the live records must stay within
+// nodes × window plus the pending end-to-end retries, and a run four
+// times as long must make under 1.5 times the heap allocations. Waiting
+// packets are still state: two networks that differ only in one waiting
+// packet's compute gap must have different fingerprints.
+func TestClosedLoopRecordsBounded(t *testing.T) {
+	cfg := testConfig()
+	cfg.Width, cfg.Height = 8, 8
+	cfg.DependencyWindow = 1
+	canneal := func(packets int) *Network {
+		gen, err := traffic.NewParsec("canneal", cfg.Width, cfg.Height, packets, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := New(cfg, gen, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	var res Result
+	var backlog int
+	run := func(n *Network) {
+		backlog = 0
+		for !n.Drained() && n.Cycle() < 10_000_000 {
+			n.Step()
+			retries, waiting := 0, 0
+			for _, q := range n.nics {
+				retries += len(q.retry)
+				waiting += q.queued()
+			}
+			if live, limit := n.liveRecs(), len(n.nics)*n.cfg.DependencyWindow+retries; live > limit {
+				t.Fatalf("cycle %d: %d live packet records, above %d (%d waiting)", n.Cycle(), live, limit, waiting)
+			}
+			backlog = max(backlog, waiting)
+		}
+		res = n.Snapshot()
+	}
+	allocs := func(packets int) float64 {
+		return testing.AllocsPerRun(1, func() { run(canneal(packets)) })
+	}
+	short := allocs(8000)
+	if res.PacketsDelivered != 8000 {
+		t.Fatalf("8000-packet run delivered %d", res.PacketsDelivered)
+	}
+	long := allocs(32000)
+	if res.PacketsDelivered != 32000 {
+		t.Fatalf("32000-packet run delivered %d", res.PacketsDelivered)
+	}
+	if backlog < 10*cfg.Width*cfg.Height {
+		t.Fatalf("peak backlog %d packets: the trace does not outrun the loop, so the bound shows nothing", backlog)
+	}
+	t.Logf("allocations: %.0f (8000 packets), %.0f (32000); peak backlog %d; %d cycles", short, long, backlog, res.Cycles)
+	if long >= 1.5*short {
+		t.Fatalf("a 32000-packet run made %.0f allocations, a 8000-packet one %.0f: records grow with the trace", long, short)
+	}
+
+	a, b := canneal(8000), canneal(8000)
+	for i := 0; i < 500; i++ {
+		a.Step()
+		b.Step()
+	}
+	if a.Fingerprint() != b.Fingerprint() {
+		t.Fatal("two identical networks differ in fingerprint")
+	}
+	q := b.nics[0]
+	if q.queued() == 0 {
+		t.Fatal("NIC 0 has no waiting packet to perturb")
+	}
+	q.wait[q.head].gap++
+	if a.Fingerprint() == b.Fingerprint() {
+		t.Fatal("a waiting packet's compute gap is invisible to the fingerprint")
 	}
 }

@@ -1,8 +1,10 @@
 package noc
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // This file is the divergence-probe surface for internal/diffcheck: a
@@ -16,7 +18,8 @@ import (
 //     there; fault outcomes and everything downstream must still agree);
 //   - PRNG internals (n.rng, payloadRng, the injector) — unreadable, and
 //     any stream divergence surfaces immediately in the visited state;
-//   - free-lists and scratch buffers (capacity-only, no semantics).
+//   - free-lists and scratch buffers (capacity-only, no semantics), and
+//     which slab slot a packet record occupies.
 
 // stateField tags one kind of visited state. The tag, the router id and
 // up to two sub-indices (port/VC/slot) identify a field instance.
@@ -36,6 +39,7 @@ const (
 	fE2ERetransmits
 	fCodecDisagree
 	fOrderViolations
+	fLostFlits
 	fControlFaults
 	fGatedCycles
 	fNGated
@@ -59,6 +63,7 @@ const (
 	fJob
 	fNICQueueLen
 	fNICQueueJob
+	fNICRetry
 	fNICCur
 	fNICCurVC
 	fNICNextIdx
@@ -118,6 +123,7 @@ var stateFieldNames = [numStateFields]string{
 	fE2ERetransmits:  "e2eRetransmits",
 	fCodecDisagree:   "codecDisagree",
 	fOrderViolations: "orderViolations",
+	fLostFlits:       "lostFlits",
 	fControlFaults:   "controlFaults",
 	fGatedCycles:     "gatedCycles",
 	fNGated:          "nGated",
@@ -141,6 +147,7 @@ var stateFieldNames = [numStateFields]string{
 	fJob:             "pkt.job",
 	fNICQueueLen:     "nic.queueLen",
 	fNICQueueJob:     "nic.queueJob",
+	fNICRetry:        "nic.retry",
 	fNICCur:          "nic.cur",
 	fNICCurVC:        "nic.curVC",
 	fNICNextIdx:      "nic.nextIdx",
@@ -215,11 +222,24 @@ func flitKey(f *Flit) uint64 {
 	return k
 }
 
-func jobKey(j *packetJob) uint64 {
+func jobKey(j *packetRec) uint64 {
 	k := j.id*0x9e3779b97f4a7c15 ^ uint64(uint16(j.src))<<48 ^ uint64(uint16(j.dst))<<32
 	k ^= uint64(uint32(j.flits))<<16 ^ uint64(j.injectCycle) ^ uint64(j.gap)<<24
 	k ^= uint64(uint32(j.retries))<<56 ^ uint64(j.notBefore)<<8
 	return k
+}
+
+// recSlotsByID returns the slots of the live packet records, in packet id
+// order.
+func (n *Network) recSlotsByID() []int32 {
+	slots := make([]int32, 0, n.liveRecs())
+	for s := range n.recs {
+		if n.recs[s].flits > 0 {
+			slots = append(slots, int32(s))
+		}
+	}
+	slices.SortFunc(slots, func(a, b int32) int { return cmp.Compare(n.recs[a].id, n.recs[b].id) })
+	return slots
 }
 
 // visitState emits every architectural state value once, in a fixed
@@ -239,6 +259,7 @@ func (n *Network) visitState(emit func(f stateField, router, a, b int, v uint64)
 	emit(fE2ERetransmits, -1, 0, 0, n.e2eRetransmits)
 	emit(fCodecDisagree, -1, 0, 0, n.codecDisagree)
 	emit(fOrderViolations, -1, 0, 0, n.orderViolations)
+	emit(fLostFlits, -1, 0, 0, n.lostFlits)
 	emit(fControlFaults, -1, 0, 0, n.controlFaults)
 	emit(fGatedCycles, -1, 0, 0, n.gatedCycles)
 	emit(fNGated, -1, 0, 0, uint64(int64(n.nGated)))
@@ -260,29 +281,34 @@ func (n *Network) visitState(emit func(f stateField, router, a, b int, v uint64)
 		}
 	})
 
-	// Live packet-delivery progress (includes e2e-retransmission state).
-	for id := n.packets.base; id < n.packets.base+uint64(len(n.packets.entries)); id++ {
-		pi := n.packets.get(id)
-		if pi == nil {
-			continue
+	// Started packets' records in id order (includes e2e-retransmission
+	// state); the slot a record takes is not architectural.
+	for _, slot := range n.recSlotsByID() {
+		pi := &n.recs[slot]
+		id := int(pi.id)
+		emit(fPktFlitsArrived, -1, id, 0, uint64(int64(pi.flitsArrived)))
+		emit(fPktCorrupt, -1, id, 0, u64b(pi.corrupt))
+		emit(fPktPathLen, -1, id, 0, uint64(pi.pathLen))
+		for h, rid := range n.path(slot) {
+			emit(fPktPathHop, -1, id, h, uint64(rid))
 		}
-		emit(fPktFlitsArrived, -1, int(id), 0, uint64(int64(pi.flitsArrived)))
-		emit(fPktCorrupt, -1, int(id), 0, u64b(pi.corrupt))
-		emit(fPktPathLen, -1, int(id), 0, uint64(len(pi.path)))
-		for h, rid := range pi.path {
-			emit(fPktPathHop, -1, int(id), h, uint64(rid))
-		}
-		emit(fJob, -1, int(id), 0, jobKey(pi.job))
+		emit(fJob, -1, id, 0, jobKey(pi))
 	}
 
 	for id, q := range n.nics {
+		// A waiting packet is hashed as the record it would start
+		// with in open loop, so a trace record's every field counts.
 		emit(fNICQueueLen, id, 0, 0, uint64(q.queued()))
-		for i, j := range q.queue[q.head:] {
-			emit(fNICQueueJob, id, i, 0, jobKey(j))
+		for i, t := range q.wait[q.head:] {
+			j := t.record(id, t.time)
+			emit(fNICQueueJob, id, i, 0, jobKey(&j))
+		}
+		for i, slot := range q.retry {
+			emit(fNICRetry, id, i, 0, n.recs[slot].id)
 		}
 		cur := uint64(0)
-		if q.cur != nil {
-			cur = 1 + q.cur.id
+		if q.cur >= 0 {
+			cur = 1 + n.recs[q.cur].id
 		}
 		emit(fNICCur, id, 0, 0, cur)
 		emit(fNICCurVC, id, 0, 0, uint64(int64(q.curVC)))

@@ -41,6 +41,9 @@ type Flit struct {
 	VC int
 	// Seq is the flit's index within its packet.
 	Seq int
+	// rec is the slot of the packet's record in the network's record
+	// slab, for as long as the packet is in flight.
+	rec int32
 	// Corrupt marks payload damage that slipped past (or was never
 	// covered by) per-hop ECC; the end-to-end CRC catches it at the
 	// destination.

@@ -145,6 +145,9 @@ func TestInvariantsParsecAllTechShapes(t *testing.T) {
 // routers and NICs mid-run, not only at quiescence: one flipped mask bit,
 // one stale slot, one ring out of range, one drifted credit or count, an
 // underpaid window counter or a NIC wrongly held back must be reported.
+// So must the packet records: a leaked record, a flit naming another
+// packet's slot, a flit that found no record, or waiting packets out of
+// id order.
 func TestInvariantsCatchSlabCorruption(t *testing.T) {
 	cfg := channelConfig()
 	n, err := New(cfg, uniformGen(t, cfg, 0.3, 5000), nil)
@@ -249,6 +252,68 @@ func TestInvariantsCatchSlabCorruption(t *testing.T) {
 		t.Fatal("a NIC that could inject but holds a future eligibility word went unreported")
 	}
 	n.nicReady[ready] = n.nicWake(n.nics[ready])
+
+	// The packet records: one per started, unretired packet.
+	leak := n.newRec(packetRec{id: n.nextPacketID, flits: 1})
+	if err := n.CheckInvariants(); err == nil {
+		t.Fatal("a record no packet holds went unreported")
+	}
+	n.freeRec(leak)
+
+	var f *Flit
+	for i := range n.ivcs {
+		if n.ivcs[i].n > 0 {
+			f = n.vcAt(i, 0)
+			break
+		}
+	}
+	other := -1
+	for s := range n.recs {
+		if n.recs[s].flits > 0 && int32(s) != f.rec {
+			other = s
+			break
+		}
+	}
+	if other < 0 {
+		t.Fatal("one live record only; a flit cannot be pointed at another packet's")
+	}
+	savedRec := f.rec
+	f.rec = int32(other)
+	if err := n.CheckInvariants(); err == nil {
+		t.Fatal("a flit naming another packet's record went unreported")
+	}
+	f.rec = savedRec
+
+	n.recordHop(&Flit{PacketID: n.nextPacketID, rec: -1, Type: FlitHead}, 5)
+	if err := n.CheckInvariants(); err == nil {
+		t.Fatal("a flit that found no record of its packet went unreported")
+	}
+	n.lostFlits = 0
+
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatalf("restored network: %v", err)
+	}
+
+	// A closed loop backs packets up at every NIC.
+	loop := testConfig()
+	loop.DependencyWindow = 1
+	n, err = New(loop, denseTrace(loop.Width, loop.Height, 10), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		n.Step()
+	}
+	q := n.nics[3]
+	if q.queued() < 2 {
+		t.Fatalf("NIC 3 holds %d waiting packets; the id-order check needs two", q.queued())
+	}
+	w := q.wait[q.head:]
+	w[0], w[1] = w[1], w[0]
+	if err := n.CheckInvariants(); err == nil {
+		t.Fatal("waiting packets out of id order went unreported")
+	}
+	w[0], w[1] = w[1], w[0]
 
 	if err := n.CheckInvariants(); err != nil {
 		t.Fatalf("restored network: %v", err)

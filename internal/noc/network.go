@@ -15,78 +15,66 @@ import (
 	"intellinoc/internal/traffic"
 )
 
-// packetJob is one logical packet from the workload, surviving end-to-end
-// retransmissions.
-type packetJob struct {
-	id          uint64
-	src, dst    int
-	flits       int
-	injectCycle int64 // latency baseline (trace time; NIC start if closed-loop)
-	gap         int64 // compute gap after the previous packet of this source
-	retries     int
-	notBefore   int64 // e2e retry eligibility (after the NACK reaches the source)
+// tracePkt is a workload packet its NIC has admitted but not yet started
+// to inject: a compact, pointer-free record of what the packet will need.
+// The packet's id is assigned at admission, in pop order; the source is
+// the NIC that queues it.
+type tracePkt struct {
+	id    uint64
+	time  int64 // trace time (the open-loop latency baseline)
+	gap   int64 // compute gap after the previous packet of this source
+	dst   int32
+	flits int32
 }
 
-// packetInfo tracks a packet's delivery progress at the destination, and
-// the routers its head flit traversed — the paper's reward attributes each
-// flit transmission's end-to-end ACK latency to the *transmitting* router,
-// so every router on the path observes the packet's final latency.
-type packetInfo struct {
-	job          *packetJob
-	flitsArrived int
+// record returns the record of the packet t of source src once it starts
+// with latency baseline injectCycle.
+func (t *tracePkt) record(src int, injectCycle int64) packetRec {
+	return packetRec{
+		id: t.id, src: int32(src), dst: t.dst, flits: t.flits,
+		injectCycle: injectCycle, gap: t.gap,
+	}
+}
+
+// packetRec is one started, unretired packet: what survives end-to-end
+// retransmissions, the delivery progress at the destination, and the
+// routers its head flit traversed — the paper's reward attributes each
+// flit transmission's end-to-end ACK latency to the *transmitting*
+// router, so every router on the path observes the packet's final
+// latency. Records live by value in Network.recs, and a flit names its
+// packet's slot there (Flit.rec).
+type packetRec struct {
+	id           uint64
+	injectCycle  int64 // latency baseline (trace time; NIC start if closed-loop)
+	gap          int64 // compute gap after the previous packet of this source
+	notBefore    int64 // e2e retry eligibility (after the NACK reaches the source)
+	src, dst     int32
+	flits        int32 // 0 marks a free slot
+	retries      int32
+	flitsArrived int32
+	pathLen      int32 // routers on the slot's row of Network.recPath
 	corrupt      bool
-	path         []uint16
-}
-
-// packetTable maps sequential packet ids to in-flight packetInfo records.
-// Ids are dense and retire roughly in order, so a base-offset slice beats
-// a hash map: the lookups on the head-flit path-recording and eject paths
-// become a bounds check plus an index instead of a hash. The table tracks
-// only the live id window — delete advances base past the retired prefix.
-type packetTable struct {
-	base    uint64
-	entries []*packetInfo
-}
-
-func (t *packetTable) get(id uint64) *packetInfo {
-	if id < t.base || id-t.base >= uint64(len(t.entries)) {
-		return nil
-	}
-	return t.entries[id-t.base]
-}
-
-// append registers the next sequential packet id (base+len(entries)).
-func (t *packetTable) append(pi *packetInfo) {
-	t.entries = append(t.entries, pi)
-}
-
-// delete clears a retired packet and advances the base past the completed
-// prefix. Slicing forward keeps the remaining capacity for append, so the
-// backing array is reused instead of growing with the run.
-func (t *packetTable) delete(id uint64) {
-	if id < t.base || id-t.base >= uint64(len(t.entries)) {
-		return
-	}
-	t.entries[id-t.base] = nil
-	for len(t.entries) > 0 && t.entries[0] == nil {
-		t.entries = t.entries[1:]
-		t.base++
-	}
 }
 
 // nic is a node's network interface: a packet queue streamed one packet at
 // a time into the local input port (or the bypass switch when the local
-// router is gated).
+// router is gated). Only the packet it streams and its end-to-end retries
+// hold records; the packets waiting to start are trace records, so a
+// closed loop's backlog costs 32 bytes a packet and no record.
 type nic struct {
-	// queue[head:] holds the packets waiting to start, oldest first. A
+	// wait[head:] holds the packets waiting to start, oldest first. A
 	// closed loop backs hundreds of packets up per NIC, so popping
 	// advances head instead of shifting the queue down, and the dead
 	// prefix is compacted away once it is half the slice: O(1) amortized
 	// per pop, with the capacity anchored (a re-slicing pop would strand
 	// the front and make later appends reallocate).
-	queue   []*packetJob
-	head    int
-	cur     *packetJob
+	wait []tracePkt
+	head int
+	// retry holds the record slots of end-to-end retries, newest last.
+	// The newest retry starts first, ahead of every waiting packet.
+	retry []int32
+	// cur is the record slot of the packet being streamed, or -1.
+	cur     int32
 	curVC   int
 	nextIdx int
 	vcRR    int
@@ -97,36 +85,19 @@ type nic struct {
 	seenAny       bool
 }
 
-func (q *nic) pending() bool { return q.cur != nil || q.queued() > 0 }
+func (q *nic) pending() bool { return q.cur >= 0 || len(q.retry) > 0 || q.queued() > 0 }
 
 // queued returns the number of packets waiting to start.
-func (q *nic) queued() int { return len(q.queue) - q.head }
+func (q *nic) queued() int { return len(q.wait) - q.head }
 
 // popFront removes the oldest waiting packet; the queue must be
 // non-empty.
-func (q *nic) popFront() *packetJob {
-	j := q.queue[q.head]
-	q.queue[q.head] = nil
+func (q *nic) popFront() {
 	q.head++
-	if 2*q.head >= len(q.queue) {
-		live := copy(q.queue, q.queue[q.head:])
-		clear(q.queue[live:])
-		q.queue, q.head = q.queue[:live], 0
+	if 2*q.head >= len(q.wait) {
+		live := copy(q.wait, q.wait[q.head:])
+		q.wait, q.head = q.wait[:live], 0
 	}
-	return j
-}
-
-// pushFront puts a packet ahead of every waiting one (an end-to-end
-// retry).
-func (q *nic) pushFront(j *packetJob) {
-	if q.head > 0 {
-		q.head--
-		q.queue[q.head] = j
-		return
-	}
-	q.queue = append(q.queue, nil)
-	copy(q.queue[1:], q.queue)
-	q.queue[0] = j
 }
 
 // Network is one simulated NoC instance. It is not safe for concurrent
@@ -276,7 +247,17 @@ type Network struct {
 	nextPacketID uint64
 	outstanding  int
 	lastProgress int64
-	packets      packetTable
+
+	// recs holds the record of every started, unretired packet by
+	// value, at the slot its flits name (Flit.rec); recFree lists the
+	// free slots, reused last-freed first, so the slab spans the most
+	// packets ever in flight at once, not the trace. recPath is each
+	// slot's forwarding path, a row of pathCap = Diameter()+1 router ids
+	// (the longest minimal route), so recording a hop never allocates.
+	recs    []packetRec
+	recFree []int32
+	recPath []uint16
+	pathCap int
 
 	// linkRate / linkRateRelaxed cache each router's link error rate
 	// (normal and relaxed-timing), prepared for FlitBits-wide flits.
@@ -286,12 +267,9 @@ type Network struct {
 	linkRate        []fault.FlitRate
 	linkRateRelaxed []fault.FlitRate
 
-	// Free lists recycling the steady-state heap objects: flits (the
-	// dominant allocation — one per flit per packet transmission), and
-	// the per-packet job/progress records. Recycled on ejection.
+	// flitPool recycles flits, the steady-state heap objects (one per
+	// flit per packet transmission): a flit returns to it on ejection.
 	flitPool []*Flit
-	jobPool  []*packetJob
-	infoPool []*packetInfo
 
 	// bufferedFlits counts flits across every router's input buffers; it
 	// is zero exactly when no router pipeline has work, which is what
@@ -325,6 +303,10 @@ type Network struct {
 	errHist         [4]uint64
 	tempSum         float64
 	tempSamples     uint64
+	// lostFlits counts flits that found no live record of their packet
+	// at their slot (or a head flit whose path row was full): a stale or
+	// misdirected slot, never expected.
+	lostFlits uint64
 }
 
 // New builds a network from a validated config, a workload, and a
@@ -348,6 +330,7 @@ func New(cfg Config, gen traffic.Generator, ctrl Controller) (*Network, error) {
 		topo:       topo,
 		vcClasses:  topo.VCClasses(),
 		nackBound:  int64(8 * (topo.Diameter() + 2)),
+		pathCap:    topo.Diameter() + 1,
 		gen:        traffic.NewPeeker(gen),
 		injector:   fault.NewInjector(fault.DefaultTransientModel(cfg.BaseErrorRate), cfg.Seed+1),
 		rng:        rand.New(rand.NewSource(cfg.Seed + 2)),
@@ -395,7 +378,7 @@ func New(cfg Config, gen traffic.Generator, ctrl Controller) (*Network, error) {
 	nics := make([]nic, nodes)
 	for i := 0; i < nodes; i++ {
 		n.meters[i] = power.NewMeter(pp, cfg.routerPowerConfig())
-		nics[i].curVC = -1
+		nics[i].cur, nics[i].curVC = -1, -1
 		n.nics[i] = &nics[i]
 		n.nicReady[i] = noReady
 		n.gateAt[i] = n.gateDelay() - 1 // idle from cycle 0
@@ -647,30 +630,27 @@ func (n *Network) step(maxCycles int64) {
 	}
 }
 
-// admitStep moves workload packets due this cycle into the NIC queues.
-// Packet ids are handed out in pop order, so this phase runs on the
-// coordinator. Admitting into a network with nothing outstanding restarts
-// the stall clock: the idle gap before it was not a stall.
+// admitStep moves workload packets due this cycle into the NIC queues as
+// trace records; a packet gets its record only when it starts (see
+// peekNICFlit). Packet ids are handed out in pop order, so this phase
+// runs on the coordinator. Admitting into a network with nothing
+// outstanding restarts the stall clock: the idle gap before it was not a
+// stall.
 func (n *Network) admitStep(cy int64) {
 	for {
 		pkt, ok := n.gen.PopDue(cy)
 		if !ok {
 			break
 		}
-		job := n.newJob()
-		*job = packetJob{
-			id: n.nextPacketID, src: pkt.Src, dst: pkt.Dst,
-			flits: pkt.Flits, injectCycle: pkt.Time,
-		}
 		q := n.nics[pkt.Src]
+		t := tracePkt{id: n.nextPacketID, time: pkt.Time, dst: int32(pkt.Dst), flits: int32(pkt.Flits)}
 		if q.seenAny {
-			job.gap = pkt.Time - q.lastTraceTime
+			t.gap = pkt.Time - q.lastTraceTime
 		}
 		q.lastTraceTime = pkt.Time
 		q.seenAny = true
 		n.nextPacketID++
-		n.packets.append(n.newInfo(job))
-		q.queue = append(q.queue, job)
+		q.wait = append(q.wait, t)
 		n.nicReady[pkt.Src] = n.nicWake(q)
 		if n.outstanding == 0 {
 			n.lastProgress = cy
@@ -699,27 +679,28 @@ func (n *Network) injectPhase(cy int64) {
 
 // nicWake returns the earliest cycle at which injectStep could change NIC
 // q's state: a past cycle while a packet is streaming (every refused peek
-// still takes a flit id), noReady while the queue is empty or the head
-// packet waits for an ejection to free its dependency window, and
-// otherwise the later of its NACK delay and its compute gap. Before that
-// cycle peekNICFlit refuses without side effects, so skipping the call
-// is exact.
+// still takes a flit id), the end of the newest end-to-end retry's NACK
+// delay, noReady while nothing waits or the oldest waiting packet waits
+// for an ejection to free its dependency window, and otherwise the end of
+// its compute gap. Before that cycle peekNICFlit refuses without side
+// effects, so skipping the call is exact.
 func (n *Network) nicWake(q *nic) int64 {
-	if q.cur != nil {
+	if q.cur >= 0 {
 		return math.MinInt64
+	}
+	if k := len(q.retry); k > 0 {
+		return n.recs[q.retry[k-1]].notBefore
 	}
 	if q.queued() == 0 {
 		return noReady
 	}
-	job := q.queue[q.head]
-	t := job.notBefore
-	if w := n.cfg.DependencyWindow; w > 0 && job.retries == 0 {
+	if w := n.cfg.DependencyWindow; w > 0 {
 		if q.outstanding >= w {
 			return noReady
 		}
-		t = max(t, q.lastInject+job.gap)
+		return max(0, q.lastInject+q.wait[q.head].gap)
 	}
-	return t
+	return 0
 }
 
 // idleSpan returns the number of upcoming cycles (starting with the
@@ -1136,13 +1117,15 @@ func (n *Network) arbitrateOutput(r *Router, outP int, cy int64, req uint64) int
 }
 
 // recordHop appends router id to the forwarding path of head flit f's
-// packet (sized by newInfo, so it does not grow).
+// packet, in the record's fixed path row.
 func (n *Network) recordHop(f *Flit, id int) {
-	pi := n.packets.get(f.PacketID)
-	if pi == nil {
+	pi := n.recOf(f)
+	if pi == nil || int(pi.pathLen) >= n.pathCap {
+		n.lostFlits++
 		return
 	}
-	pi.path = append(pi.path, uint16(id))
+	n.recPath[int(f.rec)*n.pathCap+int(pi.pathLen)] = uint16(id)
+	pi.pathLen++
 }
 
 // vaStage allocates output VCs to routed head flits.
@@ -1521,55 +1504,55 @@ func (n *Network) eject(r *Router, f *Flit, cy int64) {
 	n.flitsDelivered++
 	n.emitFlit(cy, EvEject, r.id, f)
 	n.meters[r.id].CRC()
-	pi := n.packets.get(f.PacketID)
-	pid, corrupt, seq := f.PacketID, f.Corrupt, f.Seq
+	pi := n.recOf(f)
+	slot, corrupt, seq := f.rec, f.Corrupt, f.Seq
 	n.recycleFlit(f)
 	if pi == nil {
+		n.lostFlits++
 		return
 	}
 	if corrupt {
 		pi.corrupt = true
 	}
-	if seq != pi.flitsArrived {
+	if seq != int(pi.flitsArrived) {
 		// Wormhole routing must deliver a packet's flits in order;
 		// any inversion is a flow-control bug.
 		n.orderViolations++
 	}
 	pi.flitsArrived++
-	if pi.flitsArrived < pi.job.flits {
+	if pi.flitsArrived < pi.flits {
 		return
 	}
 	// Whole packet arrived: end-to-end CRC verdict.
-	if pi.corrupt && pi.job.retries < n.cfg.MaxPacketRetries {
+	if pi.corrupt && int(pi.retries) < n.cfg.MaxPacketRetries {
 		// Destination NACKs to the source, which retransmits the
 		// packet (paper Section 2's CRC re-transmission scheme).
-		pi.job.retries++
+		pi.retries++
 		// The NACK must travel back to the source before the packet
 		// can be retransmitted: charge one path traversal's worth of
 		// delay. The elapsed latency is the local estimate, capped at
 		// a topology-diameter bound so repeated retries cannot compound
 		// (8*(diameter+2); on a mesh that is the legacy 8*(W+H)).
-		nack := cy - pi.job.injectCycle
+		nack := cy - pi.injectCycle
 		if nack > n.nackBound {
 			nack = n.nackBound
 		}
-		pi.job.notBefore = cy + nack
-		n.emit(Event{Cycle: cy, Kind: EvE2ERetransmit, Router: r.id, PacketID: pi.job.id})
-		n.e2eRetransmits += uint64(pi.job.flits)
-		// The packet id stays live in the table; reset the delivery
-		// progress for the retransmitted copy.
+		pi.notBefore = cy + nack
+		n.emit(Event{Cycle: cy, Kind: EvE2ERetransmit, Router: r.id, PacketID: pi.id})
+		n.e2eRetransmits += uint64(pi.flits)
+		// The record stays live; reset the delivery progress for the
+		// retransmitted copy.
 		pi.flitsArrived = 0
 		pi.corrupt = false
-		pi.path = pi.path[:0]
-		// Retries go to the queue front and bypass the dependency
-		// window: the transaction is already outstanding and blocking
-		// it on itself would wedge a closed loop.
-		q := n.nics[pi.job.src]
-		q.pushFront(pi.job)
-		n.nicReady[pi.job.src] = n.nicWake(q)
+		pi.pathLen = 0
+		// Retries go ahead of every waiting packet and bypass the
+		// dependency window: the transaction is already outstanding
+		// and blocking it on itself would wedge a closed loop.
+		q := n.nics[pi.src]
+		q.retry = append(q.retry, slot)
+		n.nicReady[pi.src] = n.nicWake(q)
 		return
 	}
-	n.packets.delete(pid)
 	if pi.corrupt {
 		n.pktsFailed++
 	} else {
@@ -1577,52 +1560,60 @@ func (n *Network) eject(r *Router, f *Flit, cy int64) {
 	}
 	if n.cfg.DependencyWindow > 0 {
 		// The freed window slot may release the source's head packet.
-		q := n.nics[pi.job.src]
+		q := n.nics[pi.src]
 		q.outstanding--
-		n.nicReady[pi.job.src] = n.nicWake(q)
+		n.nicReady[pi.src] = n.nicWake(q)
 	}
-	lat := float64(cy - pi.job.injectCycle + 1)
+	lat := float64(cy - pi.injectCycle + 1)
 	n.latency.Add(lat)
 	// Reward attribution (paper Section 5): every router that forwarded
 	// this packet observes its end-to-end latency, so a router whose
 	// weak error protection corrupted it feels the retransmission cost.
-	if len(pi.path) == 0 {
+	path := n.path(slot)
+	if len(path) == 0 {
 		r.winEjectLatency.Add(lat)
 	}
-	for _, rid := range pi.path {
+	for _, rid := range path {
 		n.routers[rid].winEjectLatency.Add(lat)
 	}
 	n.outstanding--
-	n.recycleJob(pi.job)
-	n.recycleInfo(pi)
+	n.freeRec(slot)
 }
 
 // peekNICFlit exposes (without consuming) the next flit the NIC wants to
 // inject, materializing it on every call: a caller that refuses the flit
 // recycles it.
 func (n *Network) peekNICFlit(r *Router, q *nic, cy int64) (*Flit, bool) {
-	if q.cur == nil {
-		if q.queued() == 0 {
-			return nil, false
-		}
-		job := q.queue[q.head]
-		if job.notBefore > cy {
-			return nil, false // e2e NACK still in flight
-		}
-		// Dependency-window gating: at most W packets outstanding per
-		// core, with trace gaps preserved as compute time between
-		// injection starts (Netrace-style closed loop).
-		if w := n.cfg.DependencyWindow; w > 0 && job.retries == 0 {
-			if q.outstanding >= w || cy < q.lastInject+job.gap {
+	if q.cur < 0 {
+		if k := len(q.retry); k > 0 {
+			s := q.retry[k-1]
+			if n.recs[s].notBefore > cy {
+				return nil, false // e2e NACK still in flight
+			}
+			q.retry = q.retry[:k-1]
+			q.cur = s
+		} else {
+			if q.queued() == 0 {
 				return nil, false
 			}
-			// Latency is measured from the moment the core is ready
-			// to send, not from the open-loop trace time.
-			job.injectCycle = cy
-			q.outstanding++
-			q.lastInject = cy
+			t := &q.wait[q.head]
+			start := t.time
+			// Dependency-window gating: at most W packets outstanding
+			// per core, with trace gaps preserved as compute time
+			// between injection starts (Netrace-style closed loop).
+			if w := n.cfg.DependencyWindow; w > 0 {
+				if q.outstanding >= w || cy < q.lastInject+t.gap {
+					return nil, false
+				}
+				// Latency is measured from the moment the core is
+				// ready to send, not from the open-loop trace time.
+				start = cy
+				q.outstanding++
+				q.lastInject = cy
+			}
+			q.cur = n.newRec(t.record(r.id, start))
+			q.popFront()
 		}
-		q.cur = q.popFront()
 		q.nextIdx = 0
 		q.curVC = -1
 		n.nicReady[r.id] = n.nicWake(q)
@@ -1653,22 +1644,23 @@ func (n *Network) peekNICFlit(r *Router, q *nic, cy int64) (*Flit, bool) {
 func (n *Network) consumeNICFlit(r *Router, q *nic) {
 	n.meters[r.id].CRC() // injection-port CRC encode
 	q.nextIdx++
-	if q.nextIdx >= q.cur.flits {
-		q.cur = nil
+	if q.nextIdx >= int(n.recs[q.cur].flits) {
+		q.cur = -1
 		q.curVC = -1
 		n.nicReady[r.id] = n.nicWake(q)
 	}
 }
 
-// makeFlit materializes flit #idx of a packet.
-func (n *Network) makeFlit(job *packetJob, idx, vc int) *Flit {
+// makeFlit materializes flit #idx of the packet at record slot slot.
+func (n *Network) makeFlit(slot int32, idx, vc int) *Flit {
+	pi := &n.recs[slot]
 	var t FlitType
 	switch {
-	case job.flits == 1:
+	case pi.flits == 1:
 		t = FlitSingle
 	case idx == 0:
 		t = FlitHead
-	case idx == job.flits-1:
+	case idx == int(pi.flits)-1:
 		t = FlitTail
 	default:
 		t = FlitBody
@@ -1684,8 +1676,8 @@ func (n *Network) makeFlit(job *packetJob, idx, vc int) *Flit {
 		f = &Flit{}
 	}
 	*f = Flit{
-		ID: n.nextFlitID, PacketID: job.id, Type: t,
-		Src: job.src, Dst: job.dst, VC: vc, Seq: idx,
+		ID: n.nextFlitID, PacketID: pi.id, Type: t,
+		Src: int(pi.src), Dst: int(pi.dst), VC: vc, Seq: idx, rec: slot,
 	}
 	n.nextFlitID++
 	if n.cfg.VerifyPayloads {
@@ -1705,45 +1697,47 @@ func (n *Network) recycleFlit(f *Flit) {
 	n.flitPool = append(n.flitPool, f)
 }
 
-// newJob and newInfo pop pooled packet bookkeeping records; recycleJob
-// and recycleInfo return them when a packet completes. A path is at most
-// the topology's diameter plus one routers long, so a fresh packetInfo
-// gets that capacity up front and keeps it across lives: forwarding never
-// allocates, even while a closed loop drains a backlog of records made
-// at admission.
-func (n *Network) newJob() *packetJob {
-	if k := len(n.jobPool); k > 0 {
-		j := n.jobPool[k-1]
-		n.jobPool[k-1] = nil
-		n.jobPool = n.jobPool[:k-1]
-		return j
+// newRec stores a started packet's record and returns its slot: the
+// last-freed slot, or a new one at the end of the slab. freeRec clears a
+// retired packet's slot for reuse. The slab grows only past the most
+// packets ever in flight at once, so starting a packet allocates nothing
+// in steady state, however long the backlog waiting behind it.
+func (n *Network) newRec(pi packetRec) int32 {
+	if k := len(n.recFree); k > 0 {
+		s := n.recFree[k-1]
+		n.recFree = n.recFree[:k-1]
+		n.recs[s] = pi
+		return s
 	}
-	return &packetJob{}
+	n.recs = append(n.recs, pi)
+	n.recPath = append(n.recPath, make([]uint16, n.pathCap)...)
+	return int32(len(n.recs) - 1)
 }
 
-func (n *Network) recycleJob(j *packetJob) {
-	*j = packetJob{}
-	n.jobPool = append(n.jobPool, j)
+func (n *Network) freeRec(s int32) {
+	n.recs[s] = packetRec{}
+	n.recFree = append(n.recFree, s)
 }
 
-func (n *Network) newInfo(job *packetJob) *packetInfo {
-	if k := len(n.infoPool); k > 0 {
-		pi := n.infoPool[k-1]
-		n.infoPool[k-1] = nil
-		n.infoPool = n.infoPool[:k-1]
-		pi.job = job
-		return pi
+// recOf returns the record of flit f's packet, or nil when f's slot
+// holds no live record of that packet.
+func (n *Network) recOf(f *Flit) *packetRec {
+	if s := uint(f.rec); s < uint(len(n.recs)) {
+		if pi := &n.recs[s]; pi.flits > 0 && pi.id == f.PacketID {
+			return pi
+		}
 	}
-	return &packetInfo{job: job, path: make([]uint16, 0, n.topo.Diameter()+1)}
+	return nil
 }
 
-func (n *Network) recycleInfo(pi *packetInfo) {
-	pi.job = nil
-	pi.flitsArrived = 0
-	pi.corrupt = false
-	pi.path = pi.path[:0]
-	n.infoPool = append(n.infoPool, pi)
+// path returns the routers recorded on slot s's forwarding path.
+func (n *Network) path(s int32) []uint16 {
+	at := int(s) * n.pathCap
+	return n.recPath[at : at+int(n.recs[s].pathLen)]
 }
+
+// liveRecs returns the number of live records in the slab.
+func (n *Network) liveRecs() int { return len(n.recs) - len(n.recFree) }
 
 // injectStep streams the NIC's current packet into the local input port,
 // one flit per cycle.
@@ -2009,7 +2003,9 @@ func (n *Network) applyMode(r *Router, mode Mode) {
 }
 
 // CheckInvariants validates the network's conservation laws. At any
-// time: no packet flit may have been delivered out of order; the O(1)
+// time: no packet flit may have been delivered out of order or have found
+// no record of its packet; the packet records must be exactly those of
+// the started, unretired packets (checkRecords); the O(1)
 // counters, the occupied-VC masks and the earliest-ready slots and router
 // words must mirror the buffers and channels; the gated-router count, the
 // bypass-mode mirror and every NIC's eligibility word must match their
@@ -2023,6 +2019,9 @@ func (n *Network) applyMode(r *Router, mode Mode) {
 func (n *Network) CheckInvariants() error {
 	if n.orderViolations > 0 {
 		return fmt.Errorf("noc: %d out-of-order flit deliveries", n.orderViolations)
+	}
+	if n.lostFlits > 0 {
+		return fmt.Errorf("noc: %d flits found no record of their packet", n.lostFlits)
 	}
 	// The O(1) buffered-flit counters must mirror the buffers exactly at
 	// all times — the pipeline-skip and fast-forward paths rely on them.
@@ -2120,6 +2119,9 @@ func (n *Network) CheckInvariants() error {
 	if err := n.checkCredits(); err != nil {
 		return err
 	}
+	if err := n.checkRecords(); err != nil {
+		return err
+	}
 	if !n.Drained() {
 		return nil // the remaining checks only hold at quiescence
 	}
@@ -2145,6 +2147,92 @@ func (n *Network) CheckInvariants() error {
 		if n.nics[id].pending() {
 			return fmt.Errorf("noc: router %d NIC still pending after drain", id)
 		}
+	}
+	return nil
+}
+
+// checkRecords audits the packet-record slab. The free list must name
+// exactly the free slots. Every flit in a buffer or channel must name a
+// live record of its own packet, so a reused slot cannot alias another
+// packet unnoticed. The live records must be exactly the started,
+// unretired packets: the NICs' current packets, their end-to-end retries
+// (held by nothing else) and the packets with a flit in the network.
+// Each NIC's waiting packets must be in increasing id order, and every
+// admitted packet must be waiting or live.
+func (n *Network) checkRecords() error {
+	live := 0
+	for s := range n.recs {
+		if n.recs[s].flits > 0 {
+			live++
+		}
+	}
+	if live != n.liveRecs() {
+		return fmt.Errorf("noc: %d live packet records, but the free list leaves %d", live, n.liveRecs())
+	}
+	for _, s := range n.recFree {
+		if n.recs[s].flits != 0 {
+			return fmt.Errorf("noc: free list names slot %d, which holds packet %d", s, n.recs[s].id)
+		}
+	}
+	held := make([]bool, len(n.recs))
+	started, waiting := 0, 0
+	hold := func(s int32) {
+		if !held[s] {
+			held[s] = true
+			started++
+		}
+	}
+	for id, q := range n.nics {
+		if q.cur >= 0 {
+			if n.recs[q.cur].flits == 0 {
+				return fmt.Errorf("noc: NIC %d streams from free slot %d", id, q.cur)
+			}
+			hold(q.cur)
+		}
+		next := uint64(0)
+		for i, t := range q.wait[q.head:] {
+			if t.id < next || t.id >= n.nextPacketID {
+				return fmt.Errorf("noc: NIC %d waiting packet %d has id %d, out of increasing order below %d",
+					id, i, t.id, n.nextPacketID)
+			}
+			next = t.id + 1
+		}
+		waiting += q.queued()
+	}
+	inFlight := func(f *Flit) error {
+		if n.recOf(f) == nil {
+			return fmt.Errorf("noc: flit %d of packet %d names slot %d, which holds no record of it", f.ID, f.PacketID, f.rec)
+		}
+		hold(f.rec)
+		return nil
+	}
+	for i := range n.ivcs {
+		for k := 0; k < int(n.ivcs[i].n); k++ {
+			if err := inFlight(n.vcAt(i, k)); err != nil {
+				return err
+			}
+		}
+	}
+	for k := range n.chans {
+		for i := 0; i < n.chans[k].len(); i++ {
+			if err := inFlight(n.chans[k].at(i).flit); err != nil {
+				return err
+			}
+		}
+	}
+	for id, q := range n.nics {
+		for _, s := range q.retry {
+			if n.recs[s].flits == 0 || held[s] {
+				return fmt.Errorf("noc: NIC %d retries slot %d, which is free or held elsewhere", id, s)
+			}
+			hold(s)
+		}
+	}
+	if live != started {
+		return fmt.Errorf("noc: %d live packet records, but %d packets are started and unretired", live, started)
+	}
+	if waiting+live != n.outstanding {
+		return fmt.Errorf("noc: %d packets outstanding, but %d wait and %d are live", n.outstanding, waiting, live)
 	}
 	return nil
 }
