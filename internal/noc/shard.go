@@ -223,6 +223,40 @@ func (sp *shardPool) runShard(phase, s int) {
 	}
 }
 
+// powerDeliverPhase runs step phases 2+3 through the pool: power-state
+// maintenance, then channel deliveries into active routers' buffers. It
+// then commits the counter deltas and flushes the buffered events in
+// shard (= router) order: all gate/wake events first, then all
+// deliveries.
+func (n *Network) powerDeliverPhase(cy int64) {
+	sp := n.pool
+	sp.runPhase(phasePowerDeliver, cy)
+	for _, slot := range sp.slots {
+		n.bufferedFlits += slot.buffered
+		slot.buffered = 0
+		n.nGated += slot.gatedDelta
+		slot.gatedDelta = 0
+		if slot.progress {
+			n.lastProgress = cy
+			slot.progress = false
+		}
+	}
+	if n.eventHook != nil {
+		for _, slot := range sp.slots {
+			for i := range slot.gateEvents {
+				n.eventHook(slot.gateEvents[i])
+			}
+			slot.gateEvents = slot.gateEvents[:0]
+		}
+		for _, slot := range sp.slots {
+			for i := range slot.deliverEvents {
+				n.eventHook(slot.deliverEvents[i])
+			}
+			slot.deliverEvents = slot.deliverEvents[:0]
+		}
+	}
+}
+
 // powerDeliver fuses step phases 2 and 3 for one shard. Running all of a
 // shard's power-state steps before its deliveries preserves the global
 // 2-before-3 order for every router pair that interacts (a router's
@@ -262,6 +296,18 @@ func (sp *shardPool) powerDeliver(s int) {
 		if n.rMinReady[id] <= cy && n.active(id) {
 			n.deliverChannels(n.routers[id], cy, slot)
 		}
+	}
+}
+
+// accountPhase runs step phase 6, accounting. The per-cycle counters are
+// banked at the state changes themselves (staticFrom, the prepaid winOcc,
+// nGated), so all that is left is the gated-cycle add and, with more than
+// one shard, the staged link pushes each shard drains into its own
+// channels (see stagedPush).
+func (n *Network) accountPhase(cy int64) {
+	n.gatedCycles += uint64(n.nGated)
+	if n.shardCount > 1 {
+		n.pool.runPhase(phaseDrainLinks, cy)
 	}
 }
 
