@@ -84,7 +84,7 @@ func TestChannelDynamicScanPreservesPerVCOrder(t *testing.T) {
 	}
 	r, p := n.routers[5], PortWest
 	head := &Flit{ID: 1, VC: 0, Type: FlitHead, Src: 4, Dst: 7}
-	route, _ := n.route(r, head)
+	route, _ := n.topo.Route(r.id, head.Src, head.Dst)
 	for v := 0; v < cfg.VCs; v++ {
 		n.vcBusy[n.vcIndex(r.id, route, v)] = true
 	}

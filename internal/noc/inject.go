@@ -182,13 +182,8 @@ func (n *Network) injectStep(r *Router, q *nic, cy int64) {
 		return
 	}
 	n.consumeNICFlit(r, q)
-	n.vcPush(i, f)
-	n.rOccVC[r.id] |= 1 << (PortLocal*n.cfg.VCs + f.VC)
-	n.rBufCount[r.id]++
-	n.occAdd(r.id*NumPorts+PortLocal, 1, cy)
+	n.bufferFlit(r.id, PortLocal, f.VC, f, cy)
 	n.bufferedFlits++
-	r.in[PortLocal].winFlitsIn++
-	n.meters[r.id].BufWrite()
 	n.emitFlit(cy, EvInject, r.id, f)
 	n.lastProgress = cy
 }

@@ -55,12 +55,7 @@ func (n *Network) deliverChannels(r *Router, cy int64, slot *shardSlot) {
 		vc := ch.at(idx).vc
 		f := ch.remove(idx)
 		delivered = true
-		n.vcPush(vc0+vc, f)
-		n.rOccVC[r.id] |= 1 << (p*vcs + vc)
-		n.rBufCount[r.id]++
-		n.occAdd(base+p, 1, cy)
-		n.inPorts[base+p].winFlitsIn++
-		n.meters[r.id].BufWrite()
+		n.bufferFlit(r.id, p, vc, f, cy)
 		slot.buffered++
 		slot.progress = true
 		if n.eventHook != nil {
@@ -71,6 +66,18 @@ func (n *Network) deliverChannels(r *Router, cy int64, slot *shardSlot) {
 	if delivered {
 		n.refreshMinReady(r.id)
 	}
+}
+
+// bufferFlit writes flit f into input VC vc of router id's port p. The
+// caller counts it in bufferedFlits (a shard through its slot).
+func (n *Network) bufferFlit(id, p, vc int, f *Flit, cy int64) {
+	k := id*NumPorts + p
+	n.vcPush(n.vcIndex(id, p, vc), f)
+	n.rOccVC[id] |= 1 << (p*n.cfg.VCs + vc)
+	n.rBufCount[id]++
+	n.occAdd(k, 1, cy)
+	n.inPorts[k].winFlitsIn++
+	n.meters[id].BufWrite()
 }
 
 // occAdd records a change of d flits in input port k's buffer occupancy

@@ -408,12 +408,6 @@ func vcCredits(cfg *Config, v int) int {
 	return c
 }
 
-// route computes the output port and dateline VC class for flit f at
-// router r, per the configured topology.
-func (n *Network) route(r *Router, f *Flit) (port, vcClass int) {
-	return n.topo.Route(r.id, f.Src, f.Dst)
-}
-
 // Cycle returns the current simulation cycle.
 func (n *Network) Cycle() int64 { return n.cycle }
 
@@ -473,13 +467,7 @@ func (n *Network) step(maxCycles int64) {
 	// 6. Accounting: the gated-cycle add and the staged link drain.
 	n.accountPhase(cy)
 
-	n.cycle++
-	if n.cycle%int64(n.cfg.ThermalIntervalCycles) == 0 {
-		n.thermalStep()
-	}
-	if n.cycle%int64(n.cfg.TimeStepCycles) == 0 {
-		n.controlStep()
-	}
+	n.advance(1)
 }
 
 // idleSpan returns the number of upcoming cycles (starting with the
@@ -573,6 +561,12 @@ func (n *Network) fastForward(k int64) {
 			}
 		}
 	}
+	n.advance(k)
+}
+
+// advance moves the clock k cycles on, then fires the thermal and control
+// steps if it lands on their boundaries.
+func (n *Network) advance(k int64) {
 	n.cycle += k
 	if n.cycle%int64(n.cfg.ThermalIntervalCycles) == 0 {
 		n.thermalStep()

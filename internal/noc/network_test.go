@@ -119,7 +119,7 @@ func TestXYRouting(t *testing.T) {
 	// south of (1,1).
 	cases[len(cases)-1].want = PortSouth
 	for _, c := range cases {
-		got, class := n.route(r5, &Flit{Src: 5, Dst: c.dst})
+		got, class := n.topo.Route(r5.id, 5, c.dst)
 		if got != c.want {
 			t.Errorf("route(5→%d) = %s, want %s", c.dst, PortName(got), PortName(c.want))
 		}

@@ -132,19 +132,7 @@ func (n *Network) arbitrateOutput(r *Router, outP int, cy int64, req uint64) int
 		if up := r.in[inP].upCredits; up >= 0 {
 			n.credits[up+vc]++
 		}
-		if f.Type.IsTail() {
-			n.vcBusy[base+outP*vcs+outVC] = false
-			ivc.reset()
-		}
-		if op.ch == nil {
-			n.eject(r, f, cy)
-		} else {
-			f.VC = outVC
-			credits[outVC]--
-			n.winVCFlits[base+outP*vcs+outVC]++
-			n.emitFlit(cy, EvTraverse, r.id, f)
-			n.sendOnLink(r, op, f, cy)
-		}
+		n.forward(r, ivc, f, EvTraverse, cy)
 		n.lastProgress = cy
 		return inP
 	}
@@ -214,9 +202,7 @@ func (n *Network) rcStage(r *Router, cy int64) {
 		if !f.Type.IsHead() {
 			continue
 		}
-		route, class := n.route(r, f)
-		ivc.route, ivc.vcClass = int8(route), int8(class)
-		ivc.routedAt = cy
+		n.routeHead(r.id, ivc, f, cy)
 		if n.cfg.ControlFaultRate > 0 && n.rng.Float64() < n.cfg.ControlFaultRate {
 			// Parity caught a routing-table upset: recompute after the
 			// penalty (the route itself stays correct).
@@ -230,6 +216,13 @@ func (n *Network) rcStage(r *Router, cy int64) {
 			ivc.route = -1
 		}
 	}
+}
+
+// routeHead stores head flit f's route at router id in its input VC ivc.
+func (n *Network) routeHead(id int, ivc *inputVC, f *Flit, cy int64) {
+	route, class := n.topo.Route(id, f.Src, f.Dst)
+	ivc.route, ivc.vcClass = int8(route), int8(class)
+	ivc.routedAt = cy
 }
 
 // bypassStep forwards flits through a gated router's stress-relaxing
@@ -272,7 +265,7 @@ func (n *Network) bypassStep(r *Router, cy int64) {
 // goldens are regenerated (see ROADMAP.md).
 func (n *Network) bypassCanForward(r *Router, p int, f *Flit) bool {
 	if f.Type.IsHead() {
-		route, class := n.route(r, f)
+		route, class := n.topo.Route(r.id, f.Src, f.Dst)
 		return n.freeVC(r, route, class, true) >= 0
 	}
 	ivc := &n.ivcs[n.vcIndex(r.id, p, f.VC)]
@@ -319,15 +312,10 @@ func (n *Network) tryBypassPort(r *Router, p int, cy int64) bool {
 
 	ivc := &n.ivcs[n.vcIndex(r.id, p, f.VC)]
 	if f.Type.IsHead() {
-		route, class := n.route(r, f)
-		ivc.route, ivc.vcClass = int8(route), int8(class)
-		ivc.routedAt = cy
+		n.routeHead(r.id, ivc, f, cy)
 		n.allocVC(r, ivc, cy, true) // bypassCanForward saw a free VC
 		n.recordHop(f, r.id)
 	}
-	route, outVC := int(ivc.route), int(ivc.outVC)
-	out := n.vcIndex(r.id, route, outVC)
-
 	// Commit: consume the flit from its source.
 	if fromNIC {
 		n.consumeNICFlit(r, n.nics[r.id])
@@ -342,18 +330,28 @@ func (n *Network) tryBypassPort(r *Router, p int, cy int64) bool {
 			n.credits[ip.upCredits+f.VC]++
 		}
 	}
+	n.forward(r, ivc, f, EvBypass, cy)
+	return true
+}
+
+// forward sends flit f out of router r on the output VC its input VC ivc
+// holds, releasing that VC on a tail flit: into the ejection sink, or
+// onto the link with the VC's credit taken and an event of kind emitted.
+func (n *Network) forward(r *Router, ivc *inputVC, f *Flit, kind EventKind, cy int64) {
+	outP, outVC := int(ivc.route), int(ivc.outVC)
+	out := n.vcIndex(r.id, outP, outVC)
 	if f.Type.IsTail() {
 		n.vcBusy[out] = false
 		ivc.reset()
 	}
-	if r.out[route].ch == nil {
+	op := r.out[outP]
+	if op.ch == nil {
 		n.eject(r, f, cy)
-		return true
+		return
 	}
 	f.VC = outVC
 	n.credits[out]--
 	n.winVCFlits[out]++
-	n.emitFlit(cy, EvBypass, r.id, f)
-	n.sendOnLink(r, r.out[route], f, cy)
-	return true
+	n.emitFlit(cy, kind, r.id, f)
+	n.sendOnLink(r, op, f, cy)
 }

@@ -31,10 +31,7 @@ func (n *Network) powerStateStep(r *Router, cy int64, slot *shardSlot) {
 	}
 	// Mode-0 routers gate as soon as their buffers drain.
 	if n.cfg.Bypass && n.rBypassMode[id] && n.empty(id) {
-		n.flushStatic(r)
-		n.rGated[id] = true
-		slot.gatedDelta++
-		n.emitGate(slot, Event{Cycle: cy, Kind: EvGate, Router: id})
+		n.gate(r, cy, slot)
 		return
 	}
 	// CP-style idle gating: the caller visits an ungated router only at
@@ -43,14 +40,20 @@ func (n *Network) powerStateStep(r *Router, cy int64, slot *shardSlot) {
 	// until a drain re-arms it.
 	if n.cpGate {
 		if n.idle(id) {
-			n.flushStatic(r)
-			n.rGated[id] = true
-			slot.gatedDelta++
-			n.emitGate(slot, Event{Cycle: cy, Kind: EvGate, Router: id})
+			n.gate(r, cy, slot)
 		} else {
 			n.gateAt[id] = noReady
 		}
 	}
+}
+
+// gate powers router r down. It banks the static span while rGated is
+// still false, so the gated span is charged as ungated (see ROADMAP.md).
+func (n *Network) gate(r *Router, cy int64, slot *shardSlot) {
+	n.flushStatic(r)
+	n.rGated[r.id] = true
+	slot.gatedDelta++
+	n.emitGate(slot, Event{Cycle: cy, Kind: EvGate, Router: r.id})
 }
 
 // idle reports whether router id has no buffered flit, no channel flit
