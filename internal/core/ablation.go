@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"intellinoc/internal/noc"
@@ -67,8 +68,11 @@ func (m modeFilter) NextMode(obs noc.Observation) noc.Mode {
 	return m.remap(m.inner.NextMode(obs))
 }
 
-// RunAblation simulates one IntelliNoC ablation variant.
-func RunAblation(ab Ablation, sim SimConfig, gen traffic.Generator, policy *Policy) (noc.Result, error) {
+// RunAblation simulates one IntelliNoC ablation variant. The variants
+// under RL control build their controller as Simulate does. A cancelled
+// ctx stops the run at its next poll and returns the partial result with
+// an error wrapping ctx.Err(); a nil ctx runs to completion.
+func RunAblation(ctx context.Context, ab Ablation, sim SimConfig, gen traffic.Generator, policy *Policy) (noc.Result, error) {
 	sim = sim.withDefaults()
 	cfg := sim.networkConfig(TechIntelliNoC)
 
@@ -76,12 +80,10 @@ func RunAblation(ab Ablation, sim SimConfig, gen traffic.Generator, policy *Poli
 	if ab == AblationNoRL {
 		cfg.RLTable = false
 		inner = CPDController{}
-	} else if policy != nil {
-		ctrl := policy.ctrl.Clone(sim.Seed + 17)
-		ctrl.SetEpsilon(sim.Epsilon)
-		inner = ctrl
 	} else {
-		inner = NewRLController(cfg.Nodes(), sim.rlConfig())
+		// The initial mode controllerFor returns is ModeCRC, which
+		// SetInitialMode below applies through the variant's remap.
+		inner, _ = controllerFor(TechIntelliNoC, sim, cfg, policy)
 	}
 
 	var remap func(noc.Mode) noc.Mode
@@ -120,7 +122,7 @@ func RunAblation(ab Ablation, sim SimConfig, gen traffic.Generator, policy *Poli
 	}
 	defer n.Close()
 	n.SetInitialMode(remap(noc.ModeCRC))
-	res, err := n.RunUntilDrained(sim.MaxCycles)
+	res, err := n.RunContext(ctx, sim.MaxCycles)
 	if err != nil {
 		return res, fmt.Errorf("core: running ablation %s: %w", ab, err)
 	}

@@ -160,7 +160,7 @@ func (s RunSpec) ExecuteContext(ctx context.Context, policies *PolicyStore) (noc
 		return noc.Result{}, err
 	}
 	if s.UseAblation {
-		return core.RunAblation(s.Ablation, s.Sim, gen, policy)
+		return core.RunAblation(ctx, s.Ablation, s.Sim, gen, policy)
 	}
 	out, err := core.Simulate(ctx, s.Tech, s.Sim, gen, core.WithPolicy(policy))
 	return out.Result, err

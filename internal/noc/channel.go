@@ -13,7 +13,7 @@ import "math"
 //   - as a *re-transmission buffer* it resends a flit after a hop-level
 //     NACK without involving the upstream router's buffers (the extra
 //     delay and energy are applied by the fault-resolution path in
-//     network.go);
+//     links.go);
 //   - as a *relaxed-timing buffer* it doubles the traversal latency,
 //     which the fault model rewards with a collapsed error rate.
 //

@@ -303,13 +303,7 @@ func TestFlitTypePredicates(t *testing.T) {
 	}
 }
 
-func TestPortNamesAndOpposite(t *testing.T) {
-	if opposite(PortEast) != PortWest || opposite(PortNorth) != PortSouth {
-		t.Fatal("opposite wrong")
-	}
-	if opposite(PortWest) != PortEast || opposite(PortSouth) != PortNorth {
-		t.Fatal("opposite wrong")
-	}
+func TestPortNames(t *testing.T) {
 	names := map[string]bool{}
 	for p := 0; p < NumPorts; p++ {
 		n := PortName(p)

@@ -148,18 +148,3 @@ func PortName(p int) string {
 	}
 	return "?"
 }
-
-// opposite returns the port on the neighbouring router that faces port p.
-func opposite(p int) int {
-	switch p {
-	case PortEast:
-		return PortWest
-	case PortWest:
-		return PortEast
-	case PortNorth:
-		return PortSouth
-	case PortSouth:
-		return PortNorth
-	}
-	return PortLocal
-}

@@ -6,13 +6,14 @@ import (
 )
 
 // The tick: step() in network.go runs every shard count through one
-// schedule of phases. Shards are contiguous router-id ranges (a
-// geometry-free partition: no phase assumes a shard is a row slab, so the
-// same split serves meshes, tori, chiplet hierarchies, and routerless
-// loops alike). A one-shard pool has no workers, and runPhase runs the
-// phase inline: no goroutines, no atomics, no barrier. With more shards
-// the per-router scans fan out across persistent workers, and every
-// order-sensitive mutation stays on the coordinating goroutine.
+// schedule of phases, one method per phase (DESIGN.md §5 names the file
+// of each). Shards are contiguous router-id ranges (a geometry-free
+// partition: no phase assumes a shard is a row slab, so the same split
+// serves meshes, tori, chiplet hierarchies, and routerless loops alike).
+// A one-shard pool has no workers, and runPhase runs the phase inline: no
+// goroutines, no atomics, no barrier. With more shards the per-router
+// scans fan out across persistent workers, and every order-sensitive
+// mutation stays on the coordinating goroutine.
 //
 // The network cannot be naively partitioned because the schedule has
 // same-cycle cross-router visibility in exactly one place: when router

@@ -55,13 +55,6 @@ const (
 	TopologyRouterless = "routerless"
 )
 
-// TopologyNames lists the canonical topology families, for CLI help and
-// scenario sweeps. "chiplet" accepts an optional tile size suffix
-// ("chiplet:2x2", the default).
-func TopologyNames() []string {
-	return []string{TopologyMesh, TopologyTorus, TopologyChiplet, TopologyRouterless}
-}
-
 // NewTopology builds the topology a config selects (empty = mesh),
 // validating the geometry against it.
 func NewTopology(cfg *Config) (Topology, error) {
